@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "advisor/candidates.h"
 #include "advisor/registry.h"
 #include "advisor/evaluation.h"
@@ -252,6 +254,49 @@ TEST_F(AdvisorTest, DqnAdvisorImprovesCost) {
   EXPECT_LE(config.size(), 4);
   EXPECT_LT(Cost(test_workload_, config),
             Cost(test_workload_, IndexConfig()) * 1.0001);
+}
+
+// Bit-exact pins of the learning advisors that train on nn::Graph and Adam:
+// the fold of the trained policy's recommendations on the test workload and
+// every training workload. The constants were captured from the engine
+// before any of its kernels were rewritten. Each case also prints an "agent
+// digest" line so scripts/check.sh can compare runs across TRAP_THREADS.
+uint64_t RecommendationFingerprint(LearningAdvisor& advisor,
+                                   const std::vector<Workload>& workloads,
+                                   const TuningConstraint& constraint) {
+  uint64_t h = 0;
+  for (const Workload& w : workloads) {
+    h = common::HashCombine(h, advisor.Recommend(w, constraint).Fingerprint());
+  }
+  return h;
+}
+
+TEST_F(AdvisorTest, GoldenLearningAdvisorRecommendations) {
+  struct Golden {
+    const char* name;
+    int episodes;
+    int max_actions;
+    TuningConstraint constraint;
+    uint64_t fingerprint;
+  };
+  const Golden goldens[] = {
+      {"SWIRL", 40, 16, StorageConstraint(), 0x23f7936c557a5df8ULL},
+      {"DQN", 60, 24, CountConstraint(4), 0x7784895ae1f56ed3ULL},
+  };
+  std::vector<Workload> workloads = training_;
+  workloads.push_back(test_workload_);
+  for (const Golden& golden : goldens) {
+    RegistryOptions opt;
+    opt.rl_episodes = golden.episodes;
+    opt.max_actions = golden.max_actions;
+    auto advisor = *MakeLearningAdvisor(golden.name, optimizer_, opt);
+    advisor->Train(training_, golden.constraint);
+    uint64_t fp =
+        RecommendationFingerprint(*advisor, workloads, golden.constraint);
+    std::printf("agent digest %s recommendations=%016llx\n", golden.name,
+                static_cast<unsigned long long>(fp));
+    EXPECT_EQ(fp, golden.fingerprint) << golden.name;
+  }
 }
 
 TEST_F(AdvisorTest, MctsImprovesCostWithinCount) {

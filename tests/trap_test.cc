@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdio>
+#include <string>
 
 #include "advisor/registry.h"
 #include "catalog/datasets.h"
@@ -245,6 +248,130 @@ TEST_F(TrapTest, PlmOptionsScaleWithModel) {
   int64_t bart = TrapAgent(vocab_, *PlmAgentOptions("Bart", 1)).NumParameters();
   EXPECT_GT(bart, bert);
 }
+
+// -- golden numerics ----------------------------------------------------------
+//
+// Bit-exact pins of the agent's training numerics, one small fixed config per
+// generation method. The constants were captured from the engine before any
+// of its kernels were rewritten; a kernel that changes the order of a single
+// floating-point operation changes at least one of them. Each case also
+// prints an "agent digest" line so scripts/check.sh can compare runs across
+// TRAP_THREADS values.
+
+// Hex image of a double's bits, so a golden compares bit for bit.
+std::string Bits(double v) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(std::bit_cast<uint64_t>(v)));
+  return buf;
+}
+
+std::string BitsTrace(const std::vector<double>& trace) {
+  std::string out;
+  for (double v : trace) {
+    if (!out.empty()) out += ',';
+    out += Bits(v);
+  }
+  return out;
+}
+
+// Fold of every parameter element's bits.
+uint64_t ParameterFingerprint(nn::ParameterStore& store) {
+  uint64_t h = 0;
+  for (nn::Parameter* p : store.parameters()) {
+    for (int i = 0; i < p->value.size(); ++i) {
+      h = common::HashCombine(h, std::bit_cast<uint64_t>(p->value.data()[i]));
+    }
+  }
+  return h;
+}
+
+struct AgentGolden {
+  GenerationMethod method;
+  const char* pretrain_nll;   // per-epoch mean NLL, hex double bits
+  const char* mean_reward;    // per-epoch RL mean reward, hex double bits
+  uint64_t perturb_fp;        // WorkloadFingerprint of the greedy Perturb
+  uint64_t parameter_fp;      // ParameterFingerprint after RL
+};
+
+// Names the case in gtest output (the default would dump the raw bytes).
+void PrintTo(const AgentGolden& golden, std::ostream* os) {
+  *os << MethodName(golden.method);
+}
+
+class AgentGoldenTest : public TrapTest,
+                        public ::testing::WithParamInterface<AgentGolden> {};
+
+TEST_P(AgentGoldenTest, TrainingAndPerturbationAreBitExact) {
+  const AgentGolden& golden = GetParam();
+  AgentOptions options;
+  switch (golden.method) {
+    case GenerationMethod::kGru:
+      options = SmallAgent(EncoderKind::kNone, false);
+      break;
+    case GenerationMethod::kSeq2Seq:
+      options = SmallAgent(EncoderKind::kBiGru, false);
+      break;
+    case GenerationMethod::kTransformer:
+      options = SmallAgent(EncoderKind::kTransformer, true);
+      break;
+    default:
+      options = SmallAgent(EncoderKind::kBiGru, true);
+      break;
+  }
+  TrapAgent agent(vocab_, options);
+  PretrainOptions pretrain;
+  pretrain.num_pairs = 12;
+  pretrain.epochs = 2;
+  pretrain.seed = 5;
+  std::vector<double> nll = Pretrain(
+      agent, pool_, PerturbationConstraint::kSharedTable, 5, pretrain);
+  agent.ReinitDecoder();
+
+  auto victim = *advisor::MakeAdvisor("Extend", optimizer_);
+  RlOptions rl;
+  rl.epochs = 2;
+  rl.workloads_per_epoch = 2;
+  rl.theta = 0.0;
+  rl.use_learned_utility = false;
+  rl.seed = 77;
+  RlTrainer trainer(&agent, victim.get(), nullptr, &optimizer_, nullptr,
+                    PerturbationConstraint::kSharedTable, 5, Constraint(), rl);
+  RlTrace trace = trainer.Train(training_);
+  uint64_t perturb_fp = advisor::WorkloadFingerprint(trainer.Perturb(test_));
+  uint64_t parameter_fp = ParameterFingerprint(agent.store());
+
+  std::printf("agent digest %s nll=%s reward=%s perturb=%016llx params=%016llx\n",
+              MethodName(golden.method), BitsTrace(nll).c_str(),
+              BitsTrace(trace.mean_reward_per_epoch).c_str(),
+              static_cast<unsigned long long>(perturb_fp),
+              static_cast<unsigned long long>(parameter_fp));
+  EXPECT_EQ(BitsTrace(nll), golden.pretrain_nll);
+  EXPECT_EQ(BitsTrace(trace.mean_reward_per_epoch), golden.mean_reward);
+  EXPECT_EQ(perturb_fp, golden.perturb_fp);
+  EXPECT_EQ(parameter_fp, golden.parameter_fp);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Golden, AgentGoldenTest,
+    ::testing::Values(
+        AgentGolden{GenerationMethod::kTrap,
+                    "40272f617c383a57,4026f6965bd203c0",
+                    "3fb3dcf6fdd86598,3fc40939aca46976",
+                    0xc22b2c3261e11c85ULL, 0x7e3afe5ebe038924ULL},
+        AgentGolden{GenerationMethod::kSeq2Seq,
+                    "402724aa80c0248b,4026f6e62c8b7dfb",
+                    "3fd1a7630bbdc640,3fc40939aca46976",
+                    0x0a19b38681fa147bULL, 0x7fbdce5c47602efcULL},
+        AgentGolden{GenerationMethod::kGru,
+                    "40272d07e2d44837,402700f5506fcc50",
+                    "3fb3dcf6fdd86598,3fc40939aca46976",
+                    0x0fecc7465e7552f9ULL, 0x7c4722a9f75b8a8cULL},
+        AgentGolden{GenerationMethod::kTransformer,
+                    "4027c709771706c3,4025ed149bc0553c",
+                    "3fc5a02b3a40b77e,3fb3ab39c509f6e0",
+                    0x7a1f810beef7a786ULL, 0x56a3aca3a47e06b6ULL}),
+    [](const auto& info) { return std::string(MethodName(info.param.method)); });
 
 }  // namespace
 }  // namespace trap::trap
