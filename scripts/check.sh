@@ -47,6 +47,12 @@
 #      publish, a reset) at TRAP_THREADS=1/4/8 and requires the session
 #      digest to be bit-identical across thread counts. The plain flavor
 #      also writes BENCH_serve.json with a serve_requests_per_sec counter.
+#   6d. An agent-numerics stage per flavor (plain + TSan): the golden
+#      tests that pin the TRAP agent's training numerics bit for bit
+#      (pretrain NLL and RL reward traces, greedy perturbation and trained
+#      parameter fingerprints for TRAP/Seq2Seq/GRU/Transformer) and the
+#      SWIRL/DQN recommendations run at TRAP_THREADS=1/4/8; every run must
+#      pass and print identical agent digest lines.
 #   7. A perf-gate stage (plain flavor only; sanitizers skew timings):
 #      bench_engine_micro's shared what-if throughput probe, compared
 #      against bench/baselines/engine_micro_baseline.json by
@@ -253,6 +259,43 @@ serve_digest_stage() {
   fi
 }
 
+# Runs the nn golden tests (trap_test's Golden/AgentGoldenTest cases and
+# advisor_test's SWIRL/DQN recommendation pin) across thread counts: each
+# run must pass, and the "agent digest" lines they print must be
+# bit-identical across thread counts.
+agent_digest_stage() {
+  local dir="$1"
+  local threads="$2"
+  echo "==> agent digests ${dir}"
+  local ref=""
+  local t
+  for t in ${threads}; do
+    local out digest
+    if ! out="$(TRAP_THREADS="${t}" "${dir}/tests/trap_test" \
+          --gtest_filter='Golden/AgentGoldenTest.*' &&
+        TRAP_THREADS="${t}" "${dir}/tests/advisor_test" \
+          --gtest_filter='AdvisorTest.GoldenLearningAdvisorRecommendations')"
+    then
+      printf '%s\n' "${out}" >&2
+      echo "error: ${dir} agent golden tests failed at TRAP_THREADS=${t}" >&2
+      exit 1
+    fi
+    digest="$(printf '%s\n' "${out}" | grep '^agent digest' || true)"
+    if [ -z "${digest}" ]; then
+      echo "error: ${dir} agent golden tests printed no digest" >&2
+      exit 1
+    fi
+    echo "    TRAP_THREADS=${t}: $(printf '%s' "${digest}" | cksum)"
+    if [ -z "${ref}" ]; then
+      ref="${digest}"
+    elif [ "${digest}" != "${ref}" ]; then
+      echo "error: agent digest differs across thread counts" >&2
+      exit 1
+    fi
+  done
+  printf '%s\n' "${ref}" | sed 's/^/    /'
+}
+
 # Runs the shared what-if throughput probe (median of 5, microbenches
 # filtered out) and ratchets the result against the committed baseline.
 perf_gate_stage() {
@@ -296,6 +339,7 @@ campaign_digest_stage build-check report
 trace_digest_stage build-check "1 4 8"
 drift_digest_stage build-check "1 4 8"
 serve_digest_stage build-check "1 4 8" report
+agent_digest_stage build-check "1 4 8"
 perf_gate_stage build-check
 
 TRAP_THREADS=4 run_suite build-check-tsan 600 -DTRAP_WERROR=ON \
@@ -305,6 +349,7 @@ campaign_digest_stage build-check-tsan ""
 trace_digest_stage build-check-tsan "1 4 8"
 drift_digest_stage build-check-tsan "1 4 8"
 serve_digest_stage build-check-tsan "1 4 8" ""
+agent_digest_stage build-check-tsan "1 4 8"
 
 run_suite build-check-asan-ubsan 600 -DTRAP_WERROR=ON \
   -DTRAP_SANITIZE=address,undefined

@@ -1,8 +1,6 @@
 #ifndef TRAP_NN_GRAPH_H_
 #define TRAP_NN_GRAPH_H_
 
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "nn/matrix.h"
@@ -28,6 +26,13 @@ struct Parameter {
 // and minimal (a dozen ops) gives exact gradients for the GRU
 // encoder-decoder, the attention mechanism, and the transformer baselines
 // without hand-derived backward passes.
+//
+// Memory model: a Param node borrows Parameter::value in place (the
+// parameter must not change while the graph is alive), and no node owns a
+// gradient until Backward, which allocates one only for nodes on a path
+// from a parameter to the loss. A forward-only graph therefore allocates
+// nothing but op outputs. DESIGN.md §3k lists the accumulation orders every
+// kernel keeps, which make results bit-identical run to run.
 class Graph {
  public:
   using VarId = int;
@@ -60,6 +65,8 @@ class Graph {
   VarId LogSoftmax(VarId a);
   // Concatenate along columns: [a, b] (same row count).
   VarId ConcatCols(VarId a, VarId b);
+  // Stack along rows: [parts[0]; parts[1]; ...] (same column count).
+  VarId StackRows(const std::vector<VarId>& parts);
   // 1x1 matrix picking element (r, c) of `a`.
   VarId Pick(VarId a, int r, int c);
   // 1x1 sum of all elements.
@@ -80,20 +87,41 @@ class Graph {
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
 
  private:
+  struct Node;
+  // Adds the node's gradient contributions to its inputs' gradient sinks.
+  using BackwardFn = void (*)(Graph& g, Node& n);
+
   struct Node {
-    Matrix value;
-    Matrix grad;
-    std::vector<VarId> inputs;
-    std::function<void(Graph&, Node&)> backward;  // may be empty for leaves
-    Parameter* param = nullptr;                   // for Param leaves
-    std::vector<int> gather_ids;                  // for Gather leaves
+    Matrix value;             // empty for Param leaves (read through `param`)
+    Matrix grad;              // allocated by Backward
+    BackwardFn backward = nullptr;  // nullptr for constant leaves
+    VarId a = -1;             // first input
+    VarId b = -1;             // second input
+    int uses = 0;             // input slots of later nodes that read this one
+    VarId consumer = -1;      // the last node reading this one
+    bool borrowed = false;    // Param leaf: value is param->value
+    bool needs_grad = false;  // some parameter lies upstream
+    bool has_grad = false;    // Backward gave this node a gradient
+    Parameter* param = nullptr;   // Param, Gather; LayerNorm gain
+    Parameter* param2 = nullptr;  // LayerNorm bias
+    std::vector<int> ids;  // Gather rows; StackRows parts
+    double scalar = 0.0;   // Scale factor
+    int i0 = 0;            // Pick row; ConcatCols a's width; Add broadcast
+    int i1 = 0;            // Pick column
+    Matrix saved;          // LayerNorm: normalized rows, each then its 1/std
   };
 
-  VarId AddNode(Matrix value, std::vector<VarId> inputs,
-                std::function<void(Graph&, Node&)> backward);
-  Node& node(VarId id) { return *nodes_[static_cast<size_t>(id)]; }
+  VarId AddNode(Matrix value, VarId a, VarId b, BackwardFn backward);
+  void Use(VarId input, VarId consumer);
+  Node& node(VarId id) { return nodes_[static_cast<size_t>(id)]; }
 
-  std::vector<std::unique_ptr<Node>> nodes_;
+  // The matrix the gradient contributions to `id` go into, or nullptr when
+  // no parameter lies upstream of `id`. `single_term` says the caller adds
+  // at most one term per element; a Param leaf read only by that caller
+  // then takes the term straight into Parameter::grad.
+  Matrix* GradSink(VarId id, bool single_term);
+
+  std::vector<Node> nodes_;
 };
 
 }  // namespace trap::nn

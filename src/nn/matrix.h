@@ -1,6 +1,8 @@
 #ifndef TRAP_NN_MATRIX_H_
 #define TRAP_NN_MATRIX_H_
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "common/check.h"
@@ -9,8 +11,12 @@
 namespace trap::nn {
 
 // Dense row-major matrix of doubles. The nn library is deliberately small:
-// the paper's models are tiny (embedding size 128, ~2.8M parameters), so
-// clarity and exact gradients beat BLAS-grade throughput.
+// the paper's models are tiny (embedding size 128, ~2.8M parameters). A
+// Matrix owns its storage; nn::Graph borrows parameter matrices in place and
+// allocates gradient matrices only when Backward needs them (see graph.h),
+// so a forward pass copies no weights and an inference pass allocates no
+// gradients. Kernels walk rows through row(); at() is the bounds-checked
+// element accessor for everything else.
 class Matrix {
  public:
   Matrix() = default;
@@ -37,6 +43,13 @@ class Matrix {
 
   double* data() { return data_.data(); }
   const double* data() const { return data_.data(); }
+  // Start of row r (no bounds check: callers check shapes at op entry).
+  double* row(int r) {
+    return data_.data() + static_cast<size_t>(r) * static_cast<size_t>(cols_);
+  }
+  const double* row(int r) const {
+    return data_.data() + static_cast<size_t>(r) * static_cast<size_t>(cols_);
+  }
 
   void Fill(double v) { std::fill(data_.begin(), data_.end(), v); }
   void Zero() { Fill(0.0); }

@@ -65,9 +65,9 @@ struct TrapAgent::Impl {
   // Encodes `ids`; returns the encoder state matrix VarId, or -1 for kNone.
   nn::Graph::VarId Encode(nn::Graph& g, const std::vector<int>& ids) const {
     if (options.encoder == EncoderKind::kNone) return -1;
-    nn::Graph::VarId x = embed.Forward(g, ids);  // n x e
     int n = static_cast<int>(ids.size());
     if (options.encoder == EncoderKind::kTransformer) {
+      nn::Graph::VarId x = embed.Forward(g, ids);  // n x e
       nn::Graph::VarId pe = g.Input(nn::PositionalEncoding(n, options.embed_dim));
       return transformer->Forward(g, g.Add(x, pe));
     }
@@ -88,21 +88,13 @@ struct TrapAgent::Impl {
       bwd[static_cast<size_t>(i)] = hb;
     }
     // Stack the per-position states h_i = [h^f_i ; h^b_i] into an
-    // (n x hidden) matrix. Rows are assembled in transposed space so each
-    // append is a column concatenation.
-    nn::Graph::VarId stacked_t = -1;  // hidden x i
+    // (n x hidden) matrix.
+    std::vector<nn::Graph::VarId> states(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) {
-      nn::Graph::VarId hi = g.Transpose(g.ConcatCols(
-          fwd[static_cast<size_t>(i)], bwd[static_cast<size_t>(i)]));
-      stacked_t = stacked_t < 0 ? hi : g.ConcatCols(stacked_t, hi);
+      states[static_cast<size_t>(i)] = g.ConcatCols(
+          fwd[static_cast<size_t>(i)], bwd[static_cast<size_t>(i)]);
     }
-    return g.Transpose(stacked_t);
-  }
-
-  // Concatenates two matrices along rows via transpose+concat-cols.
-  static nn::Graph::VarId ConcatRows(nn::Graph& g, nn::Graph::VarId a,
-                                     nn::Graph::VarId b) {
-    return g.Transpose(g.ConcatCols(g.Transpose(a), g.Transpose(b)));
+    return g.StackRows(states);
   }
 
   // Shared decode loop. If `forced` is non-null, choices are replayed from

@@ -252,6 +252,199 @@ TEST(GradientTest, TransformerLayerGradient) {
   }
 }
 
+TEST(GradientTest, StackRowsGradient) {
+  common::Rng rng(37);
+  ParameterStore store;
+  Parameter* w = store.Create(3, 4, rng);
+  Parameter* v = store.Create(2, 4, rng);
+  Matrix x(2, 3);
+  for (int i = 0; i < x.size(); ++i) x.data()[i] = rng.Gaussian();
+  Matrix pool(1, 2);
+  pool.Fill(0.5);
+  // Parts of different heights, one of them stacked twice.
+  auto build = [&](Graph& g) {
+    auto top = g.Tanh(g.MatMul(g.Input(x), g.Param(w)));  // 2x4
+    auto mid = g.Param(v);                                 // 2x4
+    auto row = g.MatMul(g.Input(pool), top);               // 1x4
+    return g.StackRows({top, mid, row, top});
+  };
+  EXPECT_EQ([&] {
+    Graph g;
+    return g.value(build(g)).rows();
+  }(), 7);
+  for (Parameter* p : {w, v}) {
+    auto loss_value = [&]() {
+      Graph g;
+      auto y = build(g);
+      return g.value(g.Sum(g.Mul(y, y))).at(0, 0);
+    };
+    auto run = [&]() {
+      Graph g;
+      auto y = build(g);
+      g.Backward(g.Sum(g.Mul(y, y)));
+    };
+    CheckParameterGradient(p, loss_value, run);
+  }
+}
+
+TEST(GradientTest, StackRowsMatchesRowValues) {
+  Graph g;
+  Matrix a(1, 2);
+  a.at(0, 0) = 1;
+  a.at(0, 1) = 2;
+  Matrix b(2, 2);
+  b.at(0, 0) = 3;
+  b.at(0, 1) = 4;
+  b.at(1, 0) = 5;
+  b.at(1, 1) = 6;
+  auto s = g.StackRows({g.Input(a), g.Input(b)});
+  ASSERT_EQ(g.value(s).rows(), 3);
+  for (int i = 0; i < 6; ++i) EXPECT_EQ(g.value(s).data()[i], i + 1.0);
+}
+
+// One cell's parameters borrowed by three unrolled steps: each step's use
+// forms its own gradient sum, and the sums accumulate into the shared
+// Parameter::grad latest step first.
+TEST(GradientTest, GruParametersReusedAcrossUnrolledSteps) {
+  common::Rng rng(41);
+  ParameterStore store;
+  GruCell cell(&store, 3, 4, rng);
+  // Two sequences side by side, so each weight use sums two terms per
+  // element before it reaches Parameter::grad.
+  std::vector<Matrix> xs;
+  for (int t = 0; t < 3; ++t) {
+    Matrix x(2, 3);
+    for (int i = 0; i < x.size(); ++i) x.data()[i] = rng.Gaussian();
+    xs.push_back(x);
+  }
+  auto unroll = [&](Graph& g, const std::vector<const GruCell*>& steps) {
+    Graph::VarId h = g.Input(Matrix(2, 4));
+    Graph::VarId loss = g.Input(Matrix(1, 1));
+    for (size_t t = 0; t < xs.size(); ++t) {
+      h = steps[t]->Step(g, g.Input(xs[t]), h);
+      loss = g.Add(loss, g.Sum(g.Mul(h, h)));
+    }
+    return loss;
+  };
+  const std::vector<const GruCell*> shared = {&cell, &cell, &cell};
+  for (Parameter* p : store.parameters()) {
+    auto loss_value = [&]() {
+      Graph g;
+      return g.value(unroll(g, shared)).at(0, 0);
+    };
+    auto run = [&]() {
+      Graph g;
+      g.Backward(unroll(g, shared));
+    };
+    CheckParameterGradient(p, loss_value, run, 1e-5);
+  }
+
+  // Bit-exact accumulation order: give each step its own copy of the cell,
+  // so copy t's gradient is exactly step t's per-use sum, and fold those
+  // into a zero gradient from the last step to the first.
+  std::vector<ParameterStore> copy_stores(3);
+  std::vector<GruCell> copies;
+  for (ParameterStore& cs : copy_stores) {
+    copies.emplace_back(&cs, 3, 4, rng);
+    cs.CopyValuesFrom(store);
+  }
+  {
+    Graph g;
+    g.Backward(unroll(g, {&copies[0], &copies[1], &copies[2]}));
+  }
+  store.ZeroGrad();
+  {
+    Graph g;
+    g.Backward(unroll(g, shared));
+  }
+  std::vector<Parameter*> params = store.parameters();
+  for (size_t k = 0; k < params.size(); ++k) {
+    for (int i = 0; i < params[k]->grad.size(); ++i) {
+      double expected = 0.0;
+      for (int t = 2; t >= 0; --t) {
+        expected += copy_stores[static_cast<size_t>(t)]
+                        .parameters()[k]->grad.data()[i];
+      }
+      ASSERT_EQ(params[k]->grad.data()[i], expected)
+          << "parameter " << k << " element " << i;
+    }
+  }
+}
+
+// Three leaves of one parameter, two of them read by the same op: the
+// parameter's gradient is still the three per-use sums, latest use first,
+// exactly as when each use reads its own copy of the parameter.
+TEST(GradientTest, SameParameterLeavesAccumulateLatestFirst) {
+  common::Rng rng(53);
+  std::vector<ParameterStore> stores(4);
+  std::vector<Parameter*> w;
+  for (ParameterStore& st : stores) w.push_back(st.Create(2, 3, rng));
+  for (size_t k = 1; k < w.size(); ++k) w[k]->value = w[0]->value;
+  Matrix x(3, 6);
+  for (int i = 0; i < x.size(); ++i) x.data()[i] = rng.Gaussian();
+  // a, b and c are read by the three leaves, in tape order.
+  auto run = [&](Parameter* a, Parameter* b, Parameter* c) {
+    Graph g;
+    auto pa = g.Param(a);
+    auto pb = g.Param(b);
+    auto cat = g.Tanh(g.ConcatCols(pa, pb));  // 2x6
+    auto y = g.Add(g.MatMul(g.Param(c), g.Input(x)), cat);
+    g.Backward(g.Sum(g.Mul(y, y)));
+  };
+  run(w[0], w[0], w[0]);
+  run(w[1], w[2], w[3]);
+  for (int i = 0; i < w[0]->grad.size(); ++i) {
+    double expected = 0.0;
+    expected += w[3]->grad.data()[i];
+    expected += w[2]->grad.data()[i];
+    expected += w[1]->grad.data()[i];
+    ASSERT_EQ(w[0]->grad.data()[i], expected) << "element " << i;
+  }
+}
+
+TEST(GradientTest, MatMulOfNodeWithItself) {
+  common::Rng rng(43);
+  ParameterStore store;
+  Parameter* w = store.Create(3, 3, rng);
+  auto loss_value = [&]() {
+    Graph g;
+    auto p = g.Param(w);
+    auto y = g.MatMul(p, p);
+    return g.value(g.Sum(g.Mul(y, y))).at(0, 0);
+  };
+  auto run = [&]() {
+    Graph g;
+    auto p = g.Param(w);
+    auto y = g.MatMul(p, p);
+    g.Backward(g.Sum(g.Mul(y, y)));
+  };
+  CheckParameterGradient(w, loss_value, run);
+}
+
+// Inference never touches gradients: a forward-only graph, and a Backward
+// from a loss no parameter feeds, leave every Parameter::grad as it was.
+TEST(GradientTest, ForwardOnlyGraphLeavesGradientsUntouched) {
+  common::Rng rng(47);
+  ParameterStore store;
+  Embedding embed(&store, 5, 3, rng);
+  GruCell cell(&store, 3, 4, rng);
+  Mlp head(&store, {4, 6, 2}, rng);
+  for (Parameter* p : store.parameters()) p->grad.Fill(0.25);
+  Graph g;
+  Graph::VarId h = g.Input(Matrix(1, 4));
+  for (int id : {1, 4, 2}) h = cell.Step(g, embed.Forward(g, {id}), h);
+  Graph::VarId out = g.LogSoftmax(head.Forward(g, h));
+  EXPECT_EQ(g.value(out).cols(), 2);
+  Matrix c(1, 1);
+  c.at(0, 0) = 3.0;
+  g.Backward(g.Sum(g.Tanh(g.Input(c))));
+  for (Parameter* p : store.parameters()) {
+    for (int i = 0; i < p->grad.size(); ++i) {
+      ASSERT_EQ(p->grad.data()[i], 0.25);
+    }
+  }
+}
+
 TEST(LayersTest, LinearShapesAndParamCount) {
   common::Rng rng(19);
   ParameterStore store;

@@ -371,7 +371,9 @@ INSTANTIATE_TEST_SUITE_P(
                     "4027c709771706c3,4025ed149bc0553c",
                     "3fc5a02b3a40b77e,3fb3ab39c509f6e0",
                     0x7a1f810beef7a786ULL, 0x56a3aca3a47e06b6ULL}),
-    [](const auto& info) { return std::string(MethodName(info.param.method)); });
+    [](const auto& suite_info) {
+      return std::string(MethodName(suite_info.param.method));
+    });
 
 }  // namespace
 }  // namespace trap::trap
