@@ -77,6 +77,9 @@ class Graph {
   // (gain/bias are 1xC parameters).
   VarId LayerNorm(VarId a, Parameter* gain, Parameter* bias);
 
+  // The value of node `id`. The reference stays valid until the next node
+  // is added (the tape may grow in place); a Param node's value is the
+  // parameter's own matrix.
   const Matrix& value(VarId id) const;
 
   // Back-propagates d(loss)/d(everything) from `loss`, which must be 1x1.
