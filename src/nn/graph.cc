@@ -12,23 +12,6 @@ namespace trap::nn {
 // shapes. A backward function adds into GradSink(input) for each input that
 // has a parameter upstream.
 
-namespace {
-
-// out[j] += a * in[j] for j < n, two elements per iteration so the compiler
-// packs each pair into one SIMD multiply and one add. Every element still
-// gets exactly out + a * in, so results match a plain loop bit for bit.
-void AddScaled(double* __restrict out, const double* __restrict in, double a,
-               int n) {
-  int j = 0;
-  for (; j + 2 <= n; j += 2) {
-    out[j] += a * in[j];
-    out[j + 1] += a * in[j + 1];
-  }
-  for (; j < n; ++j) out[j] += a * in[j];
-}
-
-}  // namespace
-
 Graph::VarId Graph::AddNode(Matrix value, VarId a, VarId b,
                             BackwardFn backward) {
   VarId id = num_nodes();
@@ -102,7 +85,10 @@ Graph::VarId Graph::MatMul(VarId a, VarId b) {
     const double* arow = A.row(i);
     double* orow = out.row(i);
     for (int k = 0; k < A.cols(); ++k) {
-      if (arow[k] != 0.0) AddScaled(orow, B.row(k), arow[k], B.cols());
+      double av = arow[k];
+      if (av == 0.0) continue;
+      const double* brow = B.row(k);
+      for (int j = 0; j < B.cols(); ++j) orow[j] += av * brow[j];
     }
   }
   return AddNode(std::move(out), a, b, [](Graph& g, Node& n) {
@@ -128,15 +114,18 @@ Graph::VarId Graph::MatMul(VarId a, VarId b) {
       }
       return;
     }
-    // dA = dOut * B^T: dA(i,k) takes its terms over ascending j. The k loop
-    // is innermost so the elements of a row update independently.
+    // dA = dOut * B^T: dA(i,k) takes its terms over ascending j.
     if (Matrix* da = g.GradSink(n.a, cols == 1)) {
       for (int i = 0; i < rows; ++i) {
+        const double* grow = G.row(i);
         double* darow = da->row(i);
-        for (int j = 0; j < cols; ++j) {
-          double go = G.row(i)[j];
-          if (go == 0.0) continue;
-          for (int k = 0; k < inner; ++k) darow[k] += go * rhs.row(k)[j];
+        for (int k = 0; k < inner; ++k) {
+          const double* brow = rhs.row(k);
+          double acc = darow[k];
+          for (int j = 0; j < cols; ++j) {
+            if (grow[j] != 0.0) acc += grow[j] * brow[j];
+          }
+          darow[k] = acc;
         }
       }
     }
@@ -144,15 +133,9 @@ Graph::VarId Graph::MatMul(VarId a, VarId b) {
     if (Matrix* db = g.GradSink(n.b, rows == 1)) {
       for (int i = 0; i < rows; ++i) {
         const double* grow = G.row(i);
-        // With no zero in the row the skip never fires.
-        const bool dense = std::find(grow, grow + cols, 0.0) == grow + cols;
         for (int k = 0; k < inner; ++k) {
           double av = lhs.row(i)[k];
           double* dbrow = db->row(k);
-          if (dense) {
-            AddScaled(dbrow, grow, av, cols);
-            continue;
-          }
           for (int j = 0; j < cols; ++j) {
             if (grow[j] != 0.0) dbrow[j] += av * grow[j];
           }
