@@ -22,7 +22,8 @@ Graph::VarId Graph::AddNode(Matrix value, VarId a, VarId b,
   n.a = a;
   n.b = b;
   n.backward = backward;
-  n.needs_grad = (a >= 0 && node(a).needs_grad) || (b >= 0 && node(b).needs_grad);
+  n.needs_grad =
+      (a >= 0 && node(a).needs_grad) || (b >= 0 && node(b).needs_grad);
   return id;
 }
 

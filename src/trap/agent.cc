@@ -87,14 +87,8 @@ struct TrapAgent::Impl {
       hb = enc_bwd.Step(g, xi, hb);
       bwd[static_cast<size_t>(i)] = hb;
     }
-    // Stack the per-position states h_i = [h^f_i ; h^b_i] into an
-    // (n x hidden) matrix.
-    std::vector<nn::Graph::VarId> states(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      states[static_cast<size_t>(i)] = g.ConcatCols(
-          fwd[static_cast<size_t>(i)], bwd[static_cast<size_t>(i)]);
-    }
-    return g.StackRows(states);
+    // Row i of the (n x hidden) result is h_i = [h^f_i ; h^b_i].
+    return g.ConcatCols(g.StackRows(fwd), g.StackRows(bwd));
   }
 
   // Shared decode loop. If `forced` is non-null, choices are replayed from

@@ -341,7 +341,8 @@ TEST_P(AgentGoldenTest, TrainingAndPerturbationAreBitExact) {
   uint64_t perturb_fp = advisor::WorkloadFingerprint(trainer.Perturb(test_));
   uint64_t parameter_fp = ParameterFingerprint(agent.store());
 
-  std::printf("agent digest %s nll=%s reward=%s perturb=%016llx params=%016llx\n",
+  std::printf("agent digest %s nll=%s reward=%s perturb=%016llx "
+              "params=%016llx\n",
               MethodName(golden.method), BitsTrace(nll).c_str(),
               BitsTrace(trace.mean_reward_per_epoch).c_str(),
               static_cast<unsigned long long>(perturb_fp),
