@@ -125,15 +125,12 @@ common::Status WhatIfOptimizer::CachedCostStatus(
   CacheShard& shard = shards_[key >> 60];  // high bits: 64 - log2(16)
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      if (it->second.query_fp == query_fp &&
-          it->second.config_fp == config_fp &&
-          it->second.epoch_fp == epoch.fingerprint) {
-        if (it->second.checksum == EntryChecksum(query_fp, config_fp,
-                                                 epoch.fingerprint,
-                                                 it->second.cost)) {
-          *out = it->second.cost;
+    if (const CacheEntry* hit = shard.Find(key)) {
+      if (hit->query_fp == query_fp && hit->config_fp == config_fp &&
+          hit->epoch_fp == epoch.fingerprint) {
+        if (hit->checksum == EntryChecksum(query_fp, config_fp,
+                                           epoch.fingerprint, hit->cost)) {
+          *out = hit->cost;
           return common::Status::Ok();
         }
         // Corrupted entry (cache.shard.poison): fall through, recompute,
@@ -169,7 +166,7 @@ common::Status WhatIfOptimizer::CachedCostStatus(
   }
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    CacheEntry entry{query_fp, config_fp, epoch.fingerprint, cost,
+    CacheEntry entry{key, query_fp, config_fp, epoch.fingerprint, cost,
                      EntryChecksum(query_fp, config_fp, epoch.fingerprint,
                                    cost)};
     if (common::FaultShouldFire(common::FaultSite::kCacheShardPoison,
@@ -182,8 +179,7 @@ common::Status WhatIfOptimizer::CachedCostStatus(
           /*deterministic=*/false);
       entry.cost = -(cost + 1.0);
     }
-    auto [it, inserted] = shard.map.insert_or_assign(key, entry);
-    (void)it;
+    const bool inserted = shard.InsertOrAssign(entry);
     // Count the miss only on actual insertion so two threads racing to fill
     // the same entry (both computing the identical value) report one miss.
     if (inserted) {
@@ -406,11 +402,56 @@ std::unique_ptr<PlanNode> WhatIfOptimizer::Plan(
   return epochs_.Resolve(ctx.snapshot)->model.Plan(q, config);
 }
 
+WhatIfOptimizer::CacheEntry* WhatIfOptimizer::CacheShard::Find(uint64_t key) {
+  if (slots.empty()) return nullptr;
+  const size_t mask = slots.size() - 1;
+  for (size_t pos = key & mask; slots[pos] != 0; pos = (pos + 1) & mask) {
+    CacheEntry& e = at(slots[pos] - 1);
+    if (e.key == key) return &e;
+  }
+  return nullptr;
+}
+
+bool WhatIfOptimizer::CacheShard::InsertOrAssign(const CacheEntry& entry) {
+  if (CacheEntry* e = Find(entry.key)) {
+    *e = entry;
+    return false;
+  }
+  if ((size + 1) * 4 > slots.size() * 3) {
+    // Double the index and re-slot every entry.
+    std::vector<uint32_t> grown(std::max<size_t>(64, slots.size() * 2), 0);
+    const size_t mask = grown.size() - 1;
+    for (size_t i = 0; i < size; ++i) {
+      size_t pos = at(i).key & mask;
+      while (grown[pos] != 0) pos = (pos + 1) & mask;
+      grown[pos] = static_cast<uint32_t>(i + 1);
+    }
+    slots.swap(grown);
+  }
+  if (size == blocks.size() * kBlock) {
+    blocks.emplace_back();
+    blocks.back().reserve(kBlock);
+  }
+  blocks[size / kBlock].push_back(entry);
+  ++size;
+  const size_t mask = slots.size() - 1;
+  size_t pos = entry.key & mask;
+  while (slots[pos] != 0) pos = (pos + 1) & mask;
+  slots[pos] = static_cast<uint32_t>(size);
+  return true;
+}
+
+void WhatIfOptimizer::CacheShard::Clear() {
+  for (std::vector<CacheEntry>& block : blocks) block.clear();
+  size = 0;
+  std::fill(slots.begin(), slots.end(), 0u);
+}
+
 size_t WhatIfOptimizer::cache_size() const {
   size_t total = 0;
   for (const CacheShard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.map.size();
+    total += shard.size;
   }
   return total;
 }
@@ -427,7 +468,7 @@ size_t WhatIfOptimizer::shape_cache_size() const {
 void WhatIfOptimizer::ClearCache() {
   for (CacheShard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.clear();
+    shard.Clear();
   }
 }
 

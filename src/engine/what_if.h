@@ -278,17 +278,37 @@ class WhatIfOptimizer {
   // (query_fp, config_fp, epoch_fp, cost) so a corrupted entry is detected
   // on hit and repaired.
   struct CacheEntry {
+    uint64_t key = 0;  // the memo key the entry is stored under
     uint64_t query_fp = 0;
     uint64_t config_fp = 0;
     uint64_t epoch_fp = 0;
     double cost = 0.0;
     uint64_t checksum = 0;
   };
+  // One shard of the cost memo, a map from memo key to entry. The memo is
+  // never evicted, so its bytes per entry set how far a long run's
+  // resident set grows: entries are packed in fixed-size blocks (growth
+  // never copies them or reserves more than one block ahead), and `slots`
+  // is a linear-probing index over them keyed by the key's low bits
+  // (0 = empty, else entry index + 1), at most 3/4 full. That is about 55
+  // bytes an entry, against about 75 as a std::unordered_map node.
   // Cache-line aligned: a shard's mutex must not false-share with its
   // neighbours when different threads hit different shards.
   struct alignas(64) CacheShard {
+    static constexpr size_t kBlock = 256;  // entries per block
+
     mutable std::mutex mu;
-    std::unordered_map<uint64_t, CacheEntry> map;
+    std::vector<std::vector<CacheEntry>> blocks;
+    size_t size = 0;
+    std::vector<uint32_t> slots;
+
+    CacheEntry& at(size_t i) { return blocks[i / kBlock][i % kBlock]; }
+    // The entry stored under `key`, or nullptr.
+    CacheEntry* Find(uint64_t key);
+    // Stores `entry` under entry.key, replacing the entry already stored
+    // under that key; returns true when the entry was added.
+    bool InsertOrAssign(const CacheEntry& entry);
+    void Clear();
   };
   // Shape entries record the epoch they were compiled under; a hit must
   // match both the stored query and the probing epoch.

@@ -461,6 +461,51 @@ TEST_F(EngineTest, CacheSizeAndClear) {
   EXPECT_EQ(opt.num_collisions(), 0);
 }
 
+// Thousands of distinct pairs: every cost shard grows its index several
+// times and fills several entry blocks. Each pair is stored once, hits on
+// repeat, and reads back the cost a fresh optimizer computes.
+TEST_F(EngineTest, CostMemoGrowsThroughManyEntries) {
+  WhatIfOptimizer opt(schema_);
+  const ColumnId ship = Col("lineitem", "l_shipdate");
+  std::vector<Query> queries;
+  for (int i = 0; i < 600; ++i) {
+    Query q = LineitemQuery(CmpOp::kLt);
+    q.filters[0].value = Value::Int(10 + i);
+    queries.push_back(q);
+  }
+  std::vector<IndexConfig> configs(1);
+  for (int c = 0; c < static_cast<int>(
+                      schema_.tables()[static_cast<size_t>(ship.table)]
+                          .columns.size());
+       ++c) {
+    configs.emplace_back();
+    configs.back().Add(Index{{ColumnId{ship.table, c}}});
+  }
+  const size_t pairs = queries.size() * configs.size();
+  std::vector<double> first;
+  for (const Query& q : queries) {
+    for (const IndexConfig& c : configs) first.push_back(opt.QueryCost(q, c));
+  }
+  EXPECT_EQ(opt.cache_size(), pairs);
+  EXPECT_EQ(opt.num_cache_misses(), static_cast<int64_t>(pairs));
+  WhatIfOptimizer fresh(schema_);
+  size_t k = 0;
+  for (const Query& q : queries) {
+    for (const IndexConfig& c : configs) {
+      EXPECT_EQ(opt.QueryCost(q, c), first[k]);
+      EXPECT_EQ(fresh.QueryCost(q, c), first[k]);
+      ++k;
+    }
+  }
+  EXPECT_EQ(opt.num_cache_misses(), static_cast<int64_t>(pairs));
+  opt.ClearCache();
+  EXPECT_EQ(opt.cache_size(), 0u);
+  EXPECT_EQ(opt.QueryCost(queries[7], configs[3]),
+            first[7 * configs.size() + 3]);
+  EXPECT_EQ(opt.cache_size(), 1u);
+  EXPECT_EQ(opt.num_collisions(), 0);
+}
+
 TEST_F(EngineTest, ScratchArenaReusedAcrossRepeatedBatches) {
   WhatIfOptimizer opt(schema_);
   MiniWorkload w;
