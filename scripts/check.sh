@@ -47,8 +47,9 @@
 #      publish, a reset) at TRAP_THREADS=1/4/8 and requires the session
 #      digest to be bit-identical across thread counts. The plain flavor
 #      also writes BENCH_serve.json with a serve_requests_per_sec counter.
-#   6d. An agent-numerics stage per flavor (plain + TSan): the golden
-#      tests that pin the TRAP agent's training numerics bit for bit
+#   6d. An agent-numerics stage per flavor (plain, TSan and ASan+UBSan;
+#      the nn kernels are vectorised loops over __restrict pointers): the
+#      golden tests that pin the TRAP agent's training numerics bit for bit
 #      (pretrain NLL and RL reward traces, greedy perturbation and trained
 #      parameter fingerprints for TRAP/Seq2Seq/GRU/Transformer) and the
 #      SWIRL/DQN recommendations run at TRAP_THREADS=1/4/8; every run must
@@ -353,6 +354,7 @@ agent_digest_stage build-check-tsan "1 4 8"
 
 run_suite build-check-asan-ubsan 600 -DTRAP_WERROR=ON \
   -DTRAP_SANITIZE=address,undefined
+agent_digest_stage build-check-asan-ubsan "1 4 8"
 
 echo "==> advisor registry audit (no direct construction outside src/advisor)"
 if grep -rnE \

@@ -99,10 +99,17 @@ const QueryShape* WhatIfOptimizer::ResolveShape(const StatsEpoch& epoch,
   return nullptr;
 }
 
+WhatIfOptimizer::CostMemo& WhatIfOptimizer::MemoFor(
+    const StatsEpoch& epoch) const {
+  std::lock_guard<std::mutex> lock(memos_mu_);
+  return memos_[epoch.fingerprint];
+}
+
 common::Status WhatIfOptimizer::CachedCostStatus(
-    const StatsEpoch& epoch, const sql::Query& q, uint64_t query_fp,
-    const QueryShape* shape, uint64_t config_fp, const IndexConfig& config,
-    const common::EvalContext& ctx, double* out) const {
+    const StatsEpoch& epoch, CostMemo& memo, const sql::Query& q,
+    uint64_t query_fp, const QueryShape* shape, uint64_t config_fp,
+    const IndexConfig& config, const common::EvalContext& ctx,
+    double* out) const {
   TRAP_RETURN_IF_ERROR(ctx.CheckContinue());
   num_calls_.fetch_add(1, std::memory_order_relaxed);
   Metrics().calls->Add();
@@ -112,22 +119,20 @@ common::Status WhatIfOptimizer::CachedCostStatus(
   // and stats epoch (drift must not reshuffle fault fates), while retry
   // attempts (which re-salt) redraw.
   const uint64_t draw_key = common::HashCombine(pair_key, ctx.fault_salt);
-  // The memo key additionally carries the stats epoch: an estimate computed
-  // under one data distribution must never answer a probe made under
-  // another (the ClearCache() staleness hazard the drift overlay exposed).
-  const uint64_t key = common::HashCombine(pair_key, epoch.fingerprint);
   if (common::FaultShouldFire(common::FaultSite::kWhatIfTimeout, draw_key)) {
     obs::CountFaultFire(
         common::FaultSiteName(common::FaultSite::kWhatIfTimeout));
     return common::Status::DeadlineExceeded(
         "injected fault: engine.whatif.timeout");
   }
-  CacheShard& shard = shards_[key >> 60];  // high bits: 64 - log2(16)
+  // `memo` holds only this epoch's estimates: an estimate computed under
+  // one data distribution must never answer a probe made under another
+  // (the ClearCache() staleness hazard the drift overlay exposed).
+  CacheShard& shard = memo.shards[pair_key >> 60];  // 64 - log2(16)
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    if (const CacheEntry* hit = shard.Find(key)) {
-      if (hit->query_fp == query_fp && hit->config_fp == config_fp &&
-          hit->epoch_fp == epoch.fingerprint) {
+    if (const CacheEntry* hit = shard.Find(pair_key, query_fp, config_fp)) {
+      if (hit->query_fp == query_fp && hit->config_fp == config_fp) {
         if (hit->checksum == EntryChecksum(query_fp, config_fp,
                                            epoch.fingerprint, hit->cost)) {
           *out = hit->cost;
@@ -166,7 +171,7 @@ common::Status WhatIfOptimizer::CachedCostStatus(
   }
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    CacheEntry entry{key, query_fp, config_fp, epoch.fingerprint, cost,
+    CacheEntry entry{query_fp, config_fp, cost,
                      EntryChecksum(query_fp, config_fp, epoch.fingerprint,
                                    cost)};
     if (common::FaultShouldFire(common::FaultSite::kCacheShardPoison,
@@ -179,7 +184,7 @@ common::Status WhatIfOptimizer::CachedCostStatus(
           /*deterministic=*/false);
       entry.cost = -(cost + 1.0);
     }
-    const bool inserted = shard.InsertOrAssign(entry);
+    const bool inserted = shard.InsertOrAssign(pair_key, entry);
     // Count the miss only on actual insertion so two threads racing to fill
     // the same entry (both computing the identical value) report one miss.
     if (inserted) {
@@ -220,6 +225,7 @@ common::Status WhatIfOptimizer::BatchCostCore(
   // ctx.snapshot's statistics, whatever other snapshots concurrent callers
   // carry (the hammer tests assert exactly this all-or-nothing property).
   const std::shared_ptr<const StatsEpoch> epoch = epochs_.Resolve(ctx.snapshot);
+  CostMemo& memo = MemoFor(*epoch);
   const size_t items = nq * nc;
   // Fingerprint every query and configuration exactly once per batch (the
   // pre-batched path refingerprinted the query on every item).
@@ -334,8 +340,9 @@ common::Status WhatIfOptimizer::BatchCostCore(
       [&](size_t u) {
         const BatchScratch::UniquePair p = sc.uniques[u];
         sc.unique_statuses[u] = CachedCostStatus(
-            *epoch, *sc.query_ptrs[p.qi], sc.query_fps[p.qi], sc.shapes[p.qi],
-            sc.config_fps[p.ci], configs[p.ci], ctx, &sc.unique_costs[u]);
+            *epoch, memo, *sc.query_ptrs[p.qi], sc.query_fps[p.qi],
+            sc.shapes[p.qi], sc.config_fps[p.ci], configs[p.ci], ctx,
+            &sc.unique_costs[u]);
       },
       ctx.cancel);
 
@@ -368,7 +375,8 @@ common::StatusOr<double> WhatIfOptimizer::TryQueryCost(
     const common::EvalContext& ctx) const {
   const std::shared_ptr<const StatsEpoch> epoch = epochs_.Resolve(ctx.snapshot);
   double cost = 0.0;
-  TRAP_RETURN_IF_ERROR(CachedCostStatus(*epoch, q, sql::Fingerprint(q),
+  TRAP_RETURN_IF_ERROR(CachedCostStatus(*epoch, MemoFor(*epoch), q,
+                                        sql::Fingerprint(q),
                                         /*shape=*/nullptr, config.Fingerprint(),
                                         config, ctx, &cost));
   return cost;
@@ -402,29 +410,40 @@ std::unique_ptr<PlanNode> WhatIfOptimizer::Plan(
   return epochs_.Resolve(ctx.snapshot)->model.Plan(q, config);
 }
 
-WhatIfOptimizer::CacheEntry* WhatIfOptimizer::CacheShard::Find(uint64_t key) {
+WhatIfOptimizer::CacheEntry* WhatIfOptimizer::CacheShard::Find(
+    uint64_t pair_key, uint64_t query_fp, uint64_t config_fp) {
   if (slots.empty()) return nullptr;
   const size_t mask = slots.size() - 1;
-  for (size_t pos = key & mask; slots[pos] != 0; pos = (pos + 1) & mask) {
-    CacheEntry& e = at(slots[pos] - 1);
-    if (e.key == key) return &e;
+  const uint32_t bits = Slot(pair_key, 0);
+  for (size_t pos = pair_key & mask; slots[pos] != 0; pos = (pos + 1) & mask) {
+    if ((slots[pos] & ~kIndexMask) != bits) continue;  // another pair key
+    CacheEntry& e = at((slots[pos] & kIndexMask) - 1);
+    // An exact match has this pair key; any other entry's key is recomputed.
+    if ((e.query_fp == query_fp && e.config_fp == config_fp) ||
+        common::HashCombine(e.query_fp, e.config_fp) == pair_key) {
+      return &e;
+    }
   }
   return nullptr;
 }
 
-bool WhatIfOptimizer::CacheShard::InsertOrAssign(const CacheEntry& entry) {
-  if (CacheEntry* e = Find(entry.key)) {
+bool WhatIfOptimizer::CacheShard::InsertOrAssign(uint64_t pair_key,
+                                                 const CacheEntry& entry) {
+  if (CacheEntry* e = Find(pair_key, entry.query_fp, entry.config_fp)) {
     *e = entry;
     return false;
   }
+  if (size == kIndexMask) return false;  // full: the cost is not memoized
   if ((size + 1) * 4 > slots.size() * 3) {
     // Double the index and re-slot every entry.
     std::vector<uint32_t> grown(std::max<size_t>(64, slots.size() * 2), 0);
     const size_t mask = grown.size() - 1;
     for (size_t i = 0; i < size; ++i) {
-      size_t pos = at(i).key & mask;
+      const CacheEntry& e = at(i);
+      const uint64_t key = common::HashCombine(e.query_fp, e.config_fp);
+      size_t pos = key & mask;
       while (grown[pos] != 0) pos = (pos + 1) & mask;
-      grown[pos] = static_cast<uint32_t>(i + 1);
+      grown[pos] = Slot(key, i + 1);
     }
     slots.swap(grown);
   }
@@ -435,9 +454,9 @@ bool WhatIfOptimizer::CacheShard::InsertOrAssign(const CacheEntry& entry) {
   blocks[size / kBlock].push_back(entry);
   ++size;
   const size_t mask = slots.size() - 1;
-  size_t pos = entry.key & mask;
+  size_t pos = pair_key & mask;
   while (slots[pos] != 0) pos = (pos + 1) & mask;
-  slots[pos] = static_cast<uint32_t>(size);
+  slots[pos] = Slot(pair_key, size);
   return true;
 }
 
@@ -448,10 +467,13 @@ void WhatIfOptimizer::CacheShard::Clear() {
 }
 
 size_t WhatIfOptimizer::cache_size() const {
+  std::lock_guard<std::mutex> memos_lock(memos_mu_);
   size_t total = 0;
-  for (const CacheShard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.size;
+  for (const auto& [epoch_fp, memo] : memos_) {
+    for (const CacheShard& shard : memo.shards) {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      total += shard.size;
+    }
   }
   return total;
 }
@@ -466,9 +488,12 @@ size_t WhatIfOptimizer::shape_cache_size() const {
 }
 
 void WhatIfOptimizer::ClearCache() {
-  for (CacheShard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.Clear();
+  std::lock_guard<std::mutex> memos_lock(memos_mu_);
+  for (auto& [epoch_fp, memo] : memos_) {
+    for (CacheShard& shard : memo.shards) {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      shard.Clear();
+    }
   }
 }
 

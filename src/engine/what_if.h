@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -47,12 +48,13 @@ namespace trap::engine {
 //     allocation outside the memo caches themselves.
 //
 // Thread safety: every const method is safe to call concurrently. Both memo
-// caches are sharded N ways with a per-shard mutex (shard picked from the
-// key's high bits, since HashCombine mixes well there; shards are
-// cache-line aligned so neighbouring shard locks do not false-share), and
-// the call/miss counters are atomic. Batched results are bit-identical for
-// any TRAP_THREADS setting: per-item costs are written into pre-sized slots
-// and reduced serially in input order.
+// caches (the cost memo once per stats epoch) are sharded N ways with a
+// per-shard mutex (shard picked from the key's high bits, since HashCombine
+// mixes well there; shards are cache-line aligned so neighbouring shard
+// locks do not false-share), and the call/miss counters are atomic.
+// Batched results are bit-identical for any TRAP_THREADS setting: per-item
+// costs are written into pre-sized slots and reduced serially in input
+// order.
 //
 // Error handling: the Try* entry points are the *canonical* fallible core
 // -- they honor the EvalContext (step budget, cancellation, pool choice,
@@ -82,9 +84,10 @@ namespace trap::engine {
 // per-column statistics or grow the schema mid-run without mutating any
 // shared state). The optimizer holds no "active" epoch at all -- two
 // concurrent calls under different snapshots each resolve, and cost
-// against, their own epoch. Both memo caches mix the epoch fingerprint
-// into their keys and store it in their entries, so an estimate computed
-// under one data distribution can never answer a probe made under another.
+// against, their own epoch. Each epoch has its own cost memo, and the
+// shape cache mixes the epoch fingerprint into its keys and stores it in
+// its entries, so an estimate computed under one data distribution can
+// never answer a probe made under another.
 // Fault draws deliberately do NOT key on the epoch: a (query, config) work
 // item draws the same fate under every distribution, keeping fault
 // campaigns comparable across drift. Each batched call resolves its epoch
@@ -272,30 +275,37 @@ class WhatIfOptimizer {
   size_t shape_cache_size() const;
 
  private:
-  // Every component of the memo key is stored so a HashCombine collision is
-  // detected (and answered by recomputation) instead of silently returning
-  // another pair's — or another stats epoch's — cost; `checksum` covers
+  // A memo entry. Each stats epoch has its own memo, so the entry stores no
+  // epoch; nor does it store its key, the pair key
+  // HashCombine(query_fp, config_fp), which probing recomputes. A
+  // HashCombine collision is still detected exactly, on the full
+  // (query, config, epoch) triple, and answered by recomputation instead of
+  // another pair's -- or another stats epoch's -- cost. `checksum` covers
   // (query_fp, config_fp, epoch_fp, cost) so a corrupted entry is detected
   // on hit and repaired.
   struct CacheEntry {
-    uint64_t key = 0;  // the memo key the entry is stored under
     uint64_t query_fp = 0;
     uint64_t config_fp = 0;
-    uint64_t epoch_fp = 0;
     double cost = 0.0;
     uint64_t checksum = 0;
   };
-  // One shard of the cost memo, a map from memo key to entry. The memo is
-  // never evicted, so its bytes per entry set how far a long run's
-  // resident set grows: entries are packed in fixed-size blocks (growth
-  // never copies them or reserves more than one block ahead), and `slots`
-  // is a linear-probing index over them keyed by the key's low bits
-  // (0 = empty, else entry index + 1), at most 3/4 full. That is about 55
-  // bytes an entry, against about 75 as a std::unordered_map node.
+  // The memo is never evicted, so its bytes per entry set how far a long
+  // run's resident set grows (DESIGN.md §3a).
+  static_assert(sizeof(CacheEntry) == 32, "a memo entry is 32 bytes");
+  // One shard of an epoch's cost memo, a map from pair key to entry.
+  // Entries are packed in fixed-size blocks (growth never copies them or
+  // reserves more than one block ahead), and `slots` is a linear-probing
+  // index over them keyed by the pair key's low bits, at most 3/4 full: 32
+  // bytes an entry plus 5-11 bytes of index. A slot is 0 when empty, else
+  // entry index + 1 in its low kIndexBits and six more bits of the pair key
+  // above them, so a probe reads and rehashes only entries whose bits
+  // match. A full shard stops memoizing (at 2^26 entries, some 2.5 GB).
   // Cache-line aligned: a shard's mutex must not false-share with its
   // neighbours when different threads hit different shards.
   struct alignas(64) CacheShard {
     static constexpr size_t kBlock = 256;  // entries per block
+    static constexpr int kIndexBits = 26;
+    static constexpr uint32_t kIndexMask = (1u << kIndexBits) - 1;
 
     mutable std::mutex mu;
     std::vector<std::vector<CacheEntry>> blocks;
@@ -303,12 +313,26 @@ class WhatIfOptimizer {
     std::vector<uint32_t> slots;
 
     CacheEntry& at(size_t i) { return blocks[i / kBlock][i % kBlock]; }
-    // The entry stored under `key`, or nullptr.
-    CacheEntry* Find(uint64_t key);
-    // Stores `entry` under entry.key, replacing the entry already stored
-    // under that key; returns true when the entry was added.
-    bool InsertOrAssign(const CacheEntry& entry);
+    // The entry stored under `pair_key`: the one for (query_fp, config_fp),
+    // else one of another pair whose pair key collides; nullptr when none.
+    CacheEntry* Find(uint64_t pair_key, uint64_t query_fp, uint64_t config_fp);
+    // Stores `entry` under `pair_key`, replacing the entry already stored
+    // under that key; returns true when the entry was added (false also
+    // when the shard is full).
+    bool InsertOrAssign(uint64_t pair_key, const CacheEntry& entry);
     void Clear();
+    // The slot of entry index + 1 `n` under `pair_key`: n and the key's
+    // bits 54-59, which neither the shard choice (bits 60-63) nor a slot
+    // position (low bits) uses.
+    static uint32_t Slot(uint64_t pair_key, size_t n) {
+      return (static_cast<uint32_t>((pair_key >> 54) & 63) << kIndexBits) |
+             static_cast<uint32_t>(n);
+    }
+  };
+  static constexpr size_t kNumShards = 16;  // power of two
+  // The cost memo of one stats epoch.
+  struct CostMemo {
+    std::array<CacheShard, kNumShards> shards;
   };
   // Shape entries record the epoch they were compiled under; a hit must
   // match both the stored query and the probing epoch.
@@ -320,7 +344,6 @@ class WhatIfOptimizer {
     mutable std::mutex mu;
     std::unordered_map<uint64_t, ShapeEntry> map;
   };
-  static constexpr size_t kNumShards = 16;  // power of two
 
   // Which batched entry point a BatchCostCore call serves; selects the
   // span-key derivation (kept bit-compatible with the pre-batched-core
@@ -345,6 +368,9 @@ class WhatIfOptimizer {
   const QueryShape* ResolveShape(const StatsEpoch& epoch, uint64_t query_fp,
                                  const sql::Query& q) const;
 
+  // The cost memo of `epoch`, created on first sight of the epoch.
+  CostMemo& MemoFor(const StatsEpoch& epoch) const;
+
   // The shared batched core behind TryWorkloadCost / TryWorkloadCosts /
   // TryQueryCosts: fingerprints queries (sc.query_ptrs, size nq) and
   // configs once, dedups identical (query_fp, config_fp) items, evaluates
@@ -361,15 +387,19 @@ class WhatIfOptimizer {
   // non-negative) and cache-entry checksums. On success writes the cost to
   // *out; errors are never cached. `shape` is the prefetched shape for `q`;
   // nullptr means resolve on demand (and cost shape-free if resolution
-  // reports a fingerprint collision).
-  common::Status CachedCostStatus(const StatsEpoch& epoch, const sql::Query& q,
-                                  uint64_t query_fp, const QueryShape* shape,
+  // reports a fingerprint collision). `memo` is MemoFor(epoch).
+  common::Status CachedCostStatus(const StatsEpoch& epoch, CostMemo& memo,
+                                  const sql::Query& q, uint64_t query_fp,
+                                  const QueryShape* shape,
                                   uint64_t config_fp, const IndexConfig& config,
                                   const common::EvalContext& ctx,
                                   double* out) const;
 
   StatsEpochRegistry epochs_;
-  mutable std::array<CacheShard, kNumShards> shards_;
+  mutable std::mutex memos_mu_;
+  // One cost memo per stats epoch, by epoch fingerprint; map nodes never
+  // move, so a memo reference stays valid. Guarded by memos_mu_.
+  mutable std::map<uint64_t, CostMemo> memos_;
   mutable std::array<ShapeShard, kNumShards> shape_shards_;
   mutable std::atomic<int64_t> num_calls_{0};
   mutable std::atomic<int64_t> num_misses_{0};

@@ -12,12 +12,33 @@ namespace trap::nn {
 // shapes. A backward function adds into GradSink(input) for each input that
 // has a parameter upstream.
 
+namespace {
+
+// out[j] += a * in[j] for j < n. Every element gets exactly out + a * in,
+// as in a plain loop; the restrict pointers let the compiler vectorise it.
+void Axpy(double* __restrict out, const double* __restrict in, double a,
+          int n) {
+  for (int j = 0; j < n; ++j) out[j] += a * in[j];
+}
+
+// out[k] += a * in[k * stride] for k < n: Axpy down a column of `in`.
+void AxpyColumn(double* __restrict out, const double* __restrict in,
+                int stride, double a, int n) {
+  for (int k = 0; k < n; ++k) out[k] += a * in[k * stride];
+}
+
+}  // namespace
+
 Graph::VarId Graph::AddNode(Matrix value, VarId a, VarId b,
                             BackwardFn backward) {
   VarId id = num_nodes();
   if (a >= 0) Use(a, id);
   if (b >= 0) Use(b, id);
-  Node& n = nodes_.emplace_back();
+  if (static_cast<size_t>(id) == chunks_.size() * kChunk) {
+    chunks_.emplace_back().reserve(kChunk);
+  }
+  Node& n = chunks_.back().emplace_back();
+  ++num_nodes_;
   n.value = std::move(value);
   n.a = a;
   n.b = b;
@@ -35,7 +56,7 @@ void Graph::Use(VarId input, VarId consumer) {
 }
 
 const Matrix& Graph::value(VarId id) const {
-  const Node& n = nodes_[static_cast<size_t>(id)];
+  const Node& n = node(id);
   return n.borrowed ? n.param->value : n.value;
 }
 
@@ -86,10 +107,7 @@ Graph::VarId Graph::MatMul(VarId a, VarId b) {
     const double* arow = A.row(i);
     double* orow = out.row(i);
     for (int k = 0; k < A.cols(); ++k) {
-      double av = arow[k];
-      if (av == 0.0) continue;
-      const double* brow = B.row(k);
-      for (int j = 0; j < B.cols(); ++j) orow[j] += av * brow[j];
+      if (arow[k] != 0.0) Axpy(orow, B.row(k), arow[k], B.cols());
     }
   }
   return AddNode(std::move(out), a, b, [](Graph& g, Node& n) {
@@ -115,18 +133,15 @@ Graph::VarId Graph::MatMul(VarId a, VarId b) {
       }
       return;
     }
-    // dA = dOut * B^T: dA(i,k) takes its terms over ascending j.
+    // dA = dOut * B^T: dA(i,k) takes its terms over ascending j. The k
+    // loop is innermost so the elements of a row update independently.
     if (Matrix* da = g.GradSink(n.a, cols == 1)) {
       for (int i = 0; i < rows; ++i) {
         const double* grow = G.row(i);
         double* darow = da->row(i);
-        for (int k = 0; k < inner; ++k) {
-          const double* brow = rhs.row(k);
-          double acc = darow[k];
-          for (int j = 0; j < cols; ++j) {
-            if (grow[j] != 0.0) acc += grow[j] * brow[j];
-          }
-          darow[k] = acc;
+        for (int j = 0; j < cols; ++j) {
+          if (grow[j] == 0.0) continue;
+          AxpyColumn(darow, rhs.data() + j, cols, grow[j], inner);
         }
       }
     }
@@ -134,11 +149,17 @@ Graph::VarId Graph::MatMul(VarId a, VarId b) {
     if (Matrix* db = g.GradSink(n.b, rows == 1)) {
       for (int i = 0; i < rows; ++i) {
         const double* grow = G.row(i);
+        const double* arow = lhs.row(i);
+        // With no zero in the row the skip never fires.
+        const bool dense = std::find(grow, grow + cols, 0.0) == grow + cols;
         for (int k = 0; k < inner; ++k) {
-          double av = lhs.row(i)[k];
           double* dbrow = db->row(k);
+          if (dense) {
+            Axpy(dbrow, grow, arow[k], cols);
+            continue;
+          }
           for (int j = 0; j < cols; ++j) {
-            if (grow[j] != 0.0) dbrow[j] += av * grow[j];
+            if (grow[j] != 0.0) dbrow[j] += arow[k] * grow[j];
           }
         }
       }

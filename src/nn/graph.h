@@ -77,9 +77,8 @@ class Graph {
   // (gain/bias are 1xC parameters).
   VarId LayerNorm(VarId a, Parameter* gain, Parameter* bias);
 
-  // The value of node `id`. The reference stays valid until the next node
-  // is added (the tape may grow in place); a Param node's value is the
-  // parameter's own matrix.
+  // The value of node `id`, valid for the graph's lifetime (nodes never
+  // move); a Param node's value is the parameter's own matrix.
   const Matrix& value(VarId id) const;
 
   // Back-propagates d(loss)/d(everything) from `loss`, which must be 1x1.
@@ -87,7 +86,7 @@ class Graph {
   // side between steps).
   void Backward(VarId loss);
 
-  int num_nodes() const { return static_cast<int>(nodes_.size()); }
+  int num_nodes() const { return num_nodes_; }
 
  private:
   struct Node;
@@ -116,7 +115,14 @@ class Graph {
 
   VarId AddNode(Matrix value, VarId a, VarId b, BackwardFn backward);
   void Use(VarId input, VarId consumer);
-  Node& node(VarId id) { return nodes_[static_cast<size_t>(id)]; }
+  Node& node(VarId id) {
+    return chunks_[static_cast<size_t>(id) / kChunk]
+                  [static_cast<size_t>(id) % kChunk];
+  }
+  const Node& node(VarId id) const {
+    return chunks_[static_cast<size_t>(id) / kChunk]
+                  [static_cast<size_t>(id) % kChunk];
+  }
 
   // The matrix the gradient contributions to `id` go into, or nullptr when
   // no parameter lies upstream of `id`. `single_term` says the caller adds
@@ -124,7 +130,11 @@ class Graph {
   // then takes the term straight into Parameter::grad.
   Matrix* GradSink(VarId id, bool single_term);
 
-  std::vector<Node> nodes_;
+  // The tape, in chunks of kChunk nodes: growth allocates a new chunk and
+  // never moves a node.
+  static constexpr size_t kChunk = 256;
+  std::vector<std::vector<Node>> chunks_;
+  int num_nodes_ = 0;
 };
 
 }  // namespace trap::nn

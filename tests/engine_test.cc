@@ -7,6 +7,7 @@
 #include "catalog/datasets.h"
 #include "catalog/snapshot.h"
 #include "catalog/stats_overlay.h"
+#include "common/fault.h"
 #include "common/thread_pool.h"
 #include "engine/cost_model.h"
 #include "engine/index.h"
@@ -871,6 +872,120 @@ TEST_F(EngineTest, SnapshotOnContextRekeysCachesAndPreservesBaseline) {
   common::EvalContext again_ctx;
   again_ctx.snapshot = &again;
   EXPECT_EQ(opt.QueryCost(q, with, again_ctx), shifted);
+}
+
+// Each stats epoch keeps its own cost memo. The same (query, config) pairs
+// costed under the base epoch and two overlay epochs are stored once per
+// epoch, read back each epoch's own costs, hit on repeat, and ClearCache()
+// empties every epoch's memo.
+TEST_F(EngineTest, CostMemoKeepsOneEntryPerPairAndEpoch) {
+  const ColumnId ship = Col("lineitem", "l_shipdate");
+  const ColumnId qty = Col("lineitem", "l_quantity");
+  std::vector<catalog::Snapshot> snapshots;
+  snapshots.emplace_back(schema_);
+  for (int64_t divisor : {16, 64}) {
+    catalog::StatsOverlay overlay;
+    catalog::ColumnStats stats = catalog::StatsOf(schema_.column(ship));
+    stats.num_distinct = std::max<int64_t>(1, stats.num_distinct / divisor);
+    overlay.SetColumnStats(ship, stats);
+    snapshots.emplace_back(schema_, overlay);
+  }
+  ASSERT_NE(snapshots[1].epoch(), snapshots[2].epoch());
+  std::vector<Query> queries;
+  for (int i = 0; i < 40; ++i) {
+    Query q = LineitemQuery(i % 2 == 0 ? CmpOp::kEq : CmpOp::kLt);
+    q.filters[0].value = Value::Int(10 + i);
+    queries.push_back(q);
+  }
+  std::vector<IndexConfig> configs(3);
+  configs[1].Add(Index{{ship}});
+  configs[2].Add(Index{{ship, qty}});
+  const size_t pairs = queries.size() * configs.size();
+
+  WhatIfOptimizer opt(schema_);
+  std::vector<std::vector<double>> costs(snapshots.size());
+  for (size_t e = 0; e < snapshots.size(); ++e) {
+    common::EvalContext ctx;
+    ctx.snapshot = &snapshots[e];
+    WhatIfOptimizer fresh(schema_);
+    for (const Query& q : queries) {
+      for (const IndexConfig& c : configs) {
+        costs[e].push_back(opt.QueryCost(q, c, ctx));
+        EXPECT_EQ(fresh.QueryCost(q, c, ctx), costs[e].back());
+      }
+    }
+    EXPECT_EQ(opt.cache_size(), (e + 1) * pairs);
+    EXPECT_EQ(opt.num_cache_misses(), static_cast<int64_t>((e + 1) * pairs));
+  }
+  EXPECT_NE(costs[0], costs[1]);
+  EXPECT_NE(costs[1], costs[2]);
+  // Every epoch answers from its own entries, warm.
+  for (size_t e = 0; e < snapshots.size(); ++e) {
+    common::EvalContext ctx;
+    ctx.snapshot = &snapshots[e];
+    size_t k = 0;
+    for (const Query& q : queries) {
+      for (const IndexConfig& c : configs) {
+        EXPECT_EQ(opt.QueryCost(q, c, ctx), costs[e][k++]);
+      }
+    }
+  }
+  EXPECT_EQ(opt.cache_size(), snapshots.size() * pairs);
+  EXPECT_EQ(opt.num_cache_misses(),
+            static_cast<int64_t>(snapshots.size() * pairs));
+  EXPECT_EQ(opt.num_collisions(), 0);
+  EXPECT_EQ(opt.num_integrity_recoveries(), 0);
+  opt.ClearCache();
+  EXPECT_EQ(opt.cache_size(), 0u);
+  common::EvalContext last;
+  last.snapshot = &snapshots[2];
+  EXPECT_EQ(opt.QueryCost(queries[3], configs[1], last),
+            costs[2][3 * configs.size() + 1]);
+  EXPECT_EQ(opt.cache_size(), 1u);
+}
+
+// Entries stored while cache.shard.poison fires carry a corrupted cost. A
+// later hit detects the checksum mismatch in every epoch, returns the true
+// cost and repairs the entry in place: no new entry, no new miss.
+TEST_F(EngineTest, PoisonedMemoEntriesHealInEveryEpoch) {
+  catalog::StatsOverlay overlay;
+  const ColumnId ship = Col("lineitem", "l_shipdate");
+  catalog::ColumnStats stats = catalog::StatsOf(schema_.column(ship));
+  stats.num_distinct = std::max<int64_t>(1, stats.num_distinct / 32);
+  overlay.SetColumnStats(ship, stats);
+  const catalog::Snapshot shifted(schema_, overlay);
+  common::EvalContext base_ctx;
+  common::EvalContext shifted_ctx;
+  shifted_ctx.snapshot = &shifted;
+  Query q = LineitemQuery(CmpOp::kEq);
+  std::vector<IndexConfig> configs(2);
+  configs[1].Add(Index{{ship}});
+
+  WhatIfOptimizer clean(schema_);
+  WhatIfOptimizer opt(schema_);
+  {
+    common::ScopedFaultSpec poison("cache.shard.poison@p=1", 7);
+    for (const IndexConfig& c : configs) {
+      EXPECT_EQ(opt.QueryCost(q, c, base_ctx), clean.QueryCost(q, c, base_ctx));
+      EXPECT_EQ(opt.QueryCost(q, c, shifted_ctx),
+                clean.QueryCost(q, c, shifted_ctx));
+    }
+  }
+  EXPECT_EQ(opt.cache_size(), 4u);
+  EXPECT_EQ(opt.num_cache_misses(), 4);
+  EXPECT_EQ(opt.num_integrity_recoveries(), 0);
+  for (int round = 0; round < 2; ++round) {
+    for (const IndexConfig& c : configs) {
+      EXPECT_EQ(opt.QueryCost(q, c, base_ctx), clean.QueryCost(q, c, base_ctx));
+      EXPECT_EQ(opt.QueryCost(q, c, shifted_ctx),
+                clean.QueryCost(q, c, shifted_ctx));
+    }
+  }
+  // The first round healed all four entries; the second hit them clean.
+  EXPECT_EQ(opt.num_integrity_recoveries(), 4);
+  EXPECT_EQ(opt.cache_size(), 4u);
+  EXPECT_EQ(opt.num_cache_misses(), 4);
+  EXPECT_EQ(opt.num_collisions(), 0);
 }
 
 // Hammers SnapshotManager::Publish against concurrent batched costs. Each

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <memory>
 #include <ostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "nn/adam.h"
 #include "nn/graph.h"
@@ -502,6 +507,223 @@ TEST(AdamTest, GradientClippingBoundsNorm) {
   // With clipped norm 1 and lr 0.1, no element can move more than ~0.1/|g|.
   for (int i = 0; i < p->value.size(); ++i) {
     EXPECT_LT(std::abs(p->value.data()[i] - before.data()[i]), 0.2);
+  }
+}
+
+// The MatMul and Adam loops as they were written before the vectorised
+// kernels, kept as references: the kernels must match them bit for bit
+// (DESIGN.md §3k).
+namespace reference {
+
+// out += A * B: out(i,j) over ascending k, skipping A(i,k) == 0.
+void MatMulForward(const Matrix& A, const Matrix& B, Matrix* out) {
+  for (int i = 0; i < A.rows(); ++i) {
+    const double* arow = A.row(i);
+    double* orow = out->row(i);
+    for (int k = 0; k < A.cols(); ++k) {
+      double av = arow[k];
+      if (av == 0.0) continue;
+      const double* brow = B.row(k);
+      for (int j = 0; j < B.cols(); ++j) orow[j] += av * brow[j];
+    }
+  }
+}
+
+// da += G * B^T: da(i,k) over ascending j, skipping G(i,j) == 0.
+void MatMulDa(const Matrix& G, const Matrix& B, Matrix* da) {
+  for (int i = 0; i < G.rows(); ++i) {
+    const double* grow = G.row(i);
+    double* darow = da->row(i);
+    for (int k = 0; k < B.rows(); ++k) {
+      const double* brow = B.row(k);
+      double acc = darow[k];
+      for (int j = 0; j < G.cols(); ++j) {
+        if (grow[j] != 0.0) acc += grow[j] * brow[j];
+      }
+      darow[k] = acc;
+    }
+  }
+}
+
+// db += A^T * G: db(k,j) over ascending i, skipping G(i,j) == 0.
+void MatMulDb(const Matrix& G, const Matrix& A, Matrix* db) {
+  for (int i = 0; i < G.rows(); ++i) {
+    const double* grow = G.row(i);
+    for (int k = 0; k < A.cols(); ++k) {
+      double av = A.row(i)[k];
+      double* dbrow = db->row(k);
+      for (int j = 0; j < G.cols(); ++j) {
+        if (grow[j] != 0.0) dbrow[j] += av * grow[j];
+      }
+    }
+  }
+}
+
+// Adam::Step's update as step t of an optimizer with these settings.
+void AdamStep(const std::vector<Parameter*>& params, double lr, double beta1,
+              double beta2, double eps, double max_grad_norm, int64_t t) {
+  bool clip = false;
+  double scale = 1.0;
+  if (max_grad_norm > 0.0) {
+    double sq = 0.0;
+    for (Parameter* p : params) {
+      const double* g = p->grad.data();
+      for (int i = 0; i < p->grad.size(); ++i) sq += g[i] * g[i];
+    }
+    double norm = std::sqrt(sq);
+    if (norm > max_grad_norm) {
+      clip = true;
+      scale = max_grad_norm / norm;
+    }
+  }
+  const double bc1 = 1.0 - std::pow(beta1, static_cast<double>(t));
+  const double bc2 = 1.0 - std::pow(beta2, static_cast<double>(t));
+  const double c1 = 1.0 - beta1;
+  const double c2 = 1.0 - beta2;
+  for (Parameter* p : params) {
+    double* value = p->value.data();
+    double* g = p->grad.data();
+    double* m = p->m.data();
+    double* v = p->v.data();
+    for (int i = 0; i < p->value.size(); ++i) {
+      double gi = clip ? g[i] * scale : g[i];
+      m[i] = beta1 * m[i] + c1 * gi;
+      v[i] = beta2 * v[i] + c2 * gi * gi;
+      double mhat = m[i] / bc1;
+      double vhat = v[i] / bc2;
+      value[i] -= lr * mhat / (std::sqrt(vhat) + eps);
+      g[i] = 0.0;
+    }
+  }
+}
+
+}  // namespace reference
+
+// Element-wise bit equality, which tells -0.0 from +0.0.
+void ExpectSameBits(const Matrix& got, const Matrix& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  for (int i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.data()[i]),
+              std::bit_cast<uint64_t>(want.data()[i]))
+        << what << " element " << i << ": " << got.data()[i] << " vs "
+        << want.data()[i];
+  }
+}
+
+// Uniform values with 0.0 and -0.0 scattered through them.
+Matrix RandomWithZeros(int rows, int cols, common::Rng& rng) {
+  Matrix m(rows, cols);
+  for (int i = 0; i < m.size(); ++i) {
+    const double u = rng.Uniform();
+    m.data()[i] = u < 0.12 ? 0.0 : u < 0.24 ? -0.0 : rng.Uniform(-1.0, 1.0);
+  }
+  return m;
+}
+
+// The loss sum(MatMul(a, b) .* d) hands MatMul's backward the gradient
+// 0.0 + 1.0 * d, which equals d but for its zeros' signs; the reference
+// loops take d itself, -0.0 included, and skip both zeros alike. The
+// shapes have odd widths and cover a dB (rows == 1) and a dA (cols == 1)
+// that go straight into Parameter::grad. Gradients accumulate over six
+// steps, so the kernels also add onto non-zero sums.
+TEST(KernelReferenceTest, MatMulMatchesReferenceLoopsBitForBit) {
+  common::Rng rng(41);
+  const int shapes[][3] = {{5, 9, 7}, {1, 9, 13}, {6, 11, 1}, {3, 4, 17}};
+  for (const auto& shape : shapes) {
+    const int rows = shape[0];
+    const int inner = shape[1];
+    const int cols = shape[2];
+    SCOPED_TRACE(testing::Message() << rows << "x" << inner << "x" << cols);
+    Parameter a(rows, inner);
+    Parameter b(inner, cols);
+    Matrix want_ga(rows, inner);
+    Matrix want_gb(inner, cols);
+    for (int step = 0; step < 6; ++step) {
+      a.value = RandomWithZeros(rows, inner, rng);
+      b.value = RandomWithZeros(inner, cols, rng);
+      const Matrix d = RandomWithZeros(rows, cols, rng);
+      Graph g;
+      Graph::VarId out = g.MatMul(g.Param(&a), g.Param(&b));
+      g.Backward(g.Sum(g.Mul(out, g.Input(d))));
+
+      Matrix want(rows, cols);
+      reference::MatMulForward(a.value, b.value, &want);
+      ExpectSameBits(g.value(out), want, "forward");
+      // A Param leaf whose use adds one term per element takes it straight
+      // into Parameter::grad; otherwise the leaf sums first.
+      Matrix leaf_a(rows, inner);
+      reference::MatMulDa(d, b.value, cols == 1 ? &want_ga : &leaf_a);
+      Matrix leaf_b(inner, cols);
+      reference::MatMulDb(d, a.value, rows == 1 ? &want_gb : &leaf_b);
+      for (int i = 0; i < want_ga.size() && cols != 1; ++i) {
+        want_ga.data()[i] += leaf_a.data()[i];
+      }
+      for (int i = 0; i < want_gb.size() && rows != 1; ++i) {
+        want_gb.data()[i] += leaf_b.data()[i];
+      }
+      ExpectSameBits(a.grad, want_ga, "dA");
+      ExpectSameBits(b.grad, want_gb, "dB");
+    }
+  }
+}
+
+// Two copies of the same parameters, one stepped by Adam, one by the
+// reference loop, with clipping off and on. Row 1 of the first parameter
+// stays idle and holds a -0.0 value; row 2 is idle for four steps and
+// then active; row 3's gradient is -0.0 (not an idle bit pattern) on
+// every other step; row 4 has a zero gradient after three active steps,
+// while its moments are not zero. The remaining gradients have zeros
+// scattered through.
+TEST(KernelReferenceTest, AdamMatchesReferenceLoopBitForBit) {
+  for (const double max_grad_norm : {0.0, 0.5}) {
+    SCOPED_TRACE(testing::Message() << "max_grad_norm " << max_grad_norm);
+    common::Rng rng(43);
+    std::vector<std::unique_ptr<Parameter>> got_store;
+    std::vector<std::unique_ptr<Parameter>> want_store;
+    std::vector<Parameter*> got;
+    std::vector<Parameter*> want;
+    for (const auto& [r, c] : {std::pair{6, 5}, {1, 9}, {4, 3}}) {
+      got_store.push_back(std::make_unique<Parameter>(r, c));
+      got_store.back()->value = RandomWithZeros(r, c, rng);
+      want_store.push_back(std::make_unique<Parameter>(r, c));
+      want_store.back()->value = got_store.back()->value;
+      got.push_back(got_store.back().get());
+      want.push_back(want_store.back().get());
+    }
+    got[0]->value.at(1, 2) = -0.0;
+    want[0]->value.at(1, 2) = -0.0;
+    const double lr = 0.01;
+    Adam adam(got, lr);
+    adam.set_max_grad_norm(max_grad_norm);
+    for (int64_t step = 1; step <= 8; ++step) {
+      for (size_t p = 0; p < got.size(); ++p) {
+        Matrix grad = RandomWithZeros(got[p]->grad.rows(),
+                                      got[p]->grad.cols(), rng);
+        if (p == 0) {
+          for (int c = 0; c < grad.cols(); ++c) {
+            grad.at(1, c) = 0.0;
+            if (step <= 4) grad.at(2, c) = 0.0;
+            if (step % 2 == 0) grad.at(3, c) = -0.0;
+            if (step > 3) grad.at(4, c) = 0.0;
+          }
+        }
+        got[p]->grad = grad;
+        want[p]->grad = grad;
+      }
+      adam.Step();
+      reference::AdamStep(want, lr, 0.9, 0.999, 1e-8, max_grad_norm, step);
+      for (size_t p = 0; p < got.size(); ++p) {
+        SCOPED_TRACE(testing::Message() << "step " << step << " param " << p);
+        ExpectSameBits(got[p]->value, want[p]->value, "value");
+        ExpectSameBits(got[p]->grad, want[p]->grad, "grad");
+        ExpectSameBits(got[p]->m, want[p]->m, "m");
+        ExpectSameBits(got[p]->v, want[p]->v, "v");
+      }
+    }
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[0]->value.at(1, 2)),
+              std::bit_cast<uint64_t>(-0.0));
   }
 }
 
