@@ -15,9 +15,9 @@
 namespace trap::bench {
 
 // Shared experiment environment for the figure/table benches. Scales are
-// miniature (this machine has one core; the paper used a 24-core Xeon + GPU
-// over days) — the benches reproduce the *shape* of each result, not the
-// absolute numbers; see EXPERIMENTS.md.
+// miniature (the benches run in minutes on a 4-core machine; the paper used
+// a 24-core Xeon + GPU over days) — the benches reproduce the *shape* of
+// each result, not the absolute numbers; see EXPERIMENTS.md.
 struct BenchEnv {
   explicit BenchEnv(catalog::Schema schema_in, uint64_t seed = 0xbe7c,
                     int pool_size = 60, int num_training = 10,

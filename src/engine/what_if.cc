@@ -327,10 +327,11 @@ common::Status WhatIfOptimizer::BatchCostCore(
   // Evaluate the unique set in parallel, in cache-friendly grains, writing
   // into pre-sized slots (neighbouring slots are claimed by one thread, so
   // output writes do not false-share across threads).
+  // Slots a cancelled pool skips keep the message-less prefill, which
+  // copies without allocating; only they get the full status afterwards.
+  const common::Status skipped(common::StatusCode::kCancelled, "");
   sc.unique_costs.assign(sc.uniques.size(), 0.0);
-  sc.unique_statuses.assign(
-      sc.uniques.size(),
-      common::Status::Cancelled("skipped: evaluation cancelled"));
+  sc.unique_statuses.assign(sc.uniques.size(), skipped);
   common::ThreadPool& pool =
       ctx.pool != nullptr ? *ctx.pool : common::GlobalPool();
   const size_t grain =
@@ -345,6 +346,14 @@ common::Status WhatIfOptimizer::BatchCostCore(
             &sc.unique_costs[u]);
       },
       ctx.cancel);
+  if (ctx.cancel != nullptr &&
+      (ctx.cancel->cancelled() || ctx.cancel->expired())) {
+    for (common::Status& st : sc.unique_statuses) {
+      if (st == skipped) {
+        st = common::Status::Cancelled("skipped: evaluation cancelled");
+      }
+    }
+  }
 
   // Serial fold in input order: bit-identical totals and first-error
   // selection for any thread count.
@@ -433,7 +442,7 @@ bool WhatIfOptimizer::CacheShard::InsertOrAssign(uint64_t pair_key,
     *e = entry;
     return false;
   }
-  if (size == kIndexMask) return false;  // full: the cost is not memoized
+  if (size == kBudget) Clear();  // full: refill the kept storage
   if ((size + 1) * 4 > slots.size() * 3) {
     // Double the index and re-slot every entry.
     std::vector<uint32_t> grown(std::max<size_t>(64, slots.size() * 2), 0);

@@ -266,6 +266,10 @@ class WhatIfOptimizer {
   }
 
   size_t cache_size() const;
+  // Entries one stats epoch's cost memo holds at most (~2.6 MB with their
+  // index): a memo shard that fills is cleared and refilled in its own
+  // storage, so a long run's memo stops growing (DESIGN.md §3a).
+  static constexpr size_t kMemoBudget = size_t{1} << 16;
   // Clears memoized *costs* (across every stats epoch). Precompiled query
   // shapes are pure functions of (stats epoch, query) and their cache keys
   // carry the epoch, so they can never go stale — they are retained.
@@ -289,8 +293,7 @@ class WhatIfOptimizer {
     double cost = 0.0;
     uint64_t checksum = 0;
   };
-  // The memo is never evicted, so its bytes per entry set how far a long
-  // run's resident set grows (DESIGN.md §3a).
+  // Bytes per entry set how large a memo at its budget is (DESIGN.md §3a).
   static_assert(sizeof(CacheEntry) == 32, "a memo entry is 32 bytes");
   // One shard of an epoch's cost memo, a map from pair key to entry.
   // Entries are packed in fixed-size blocks (growth never copies them or
@@ -299,13 +302,15 @@ class WhatIfOptimizer {
   // bytes an entry plus 5-11 bytes of index. A slot is 0 when empty, else
   // entry index + 1 in its low kIndexBits and six more bits of the pair key
   // above them, so a probe reads and rehashes only entries whose bits
-  // match. A full shard stops memoizing (at 2^26 entries, some 2.5 GB).
+  // match. A shard holding kBudget entries is cleared before its next
+  // insert; its blocks and index are kept for the refill.
   // Cache-line aligned: a shard's mutex must not false-share with its
   // neighbours when different threads hit different shards.
   struct alignas(64) CacheShard {
     static constexpr size_t kBlock = 256;  // entries per block
     static constexpr int kIndexBits = 26;
     static constexpr uint32_t kIndexMask = (1u << kIndexBits) - 1;
+    static constexpr size_t kBudget = kMemoBudget / 16;  // kNumShards
 
     mutable std::mutex mu;
     std::vector<std::vector<CacheEntry>> blocks;
@@ -317,8 +322,8 @@ class WhatIfOptimizer {
     // else one of another pair whose pair key collides; nullptr when none.
     CacheEntry* Find(uint64_t pair_key, uint64_t query_fp, uint64_t config_fp);
     // Stores `entry` under `pair_key`, replacing the entry already stored
-    // under that key; returns true when the entry was added (false also
-    // when the shard is full).
+    // under that key (a shard at kBudget entries is cleared first);
+    // returns true when the entry was added.
     bool InsertOrAssign(uint64_t pair_key, const CacheEntry& entry);
     void Clear();
     // The slot of entry index + 1 `n` under `pair_key`: n and the key's
@@ -330,6 +335,8 @@ class WhatIfOptimizer {
     }
   };
   static constexpr size_t kNumShards = 16;  // power of two
+  static_assert(CacheShard::kBudget * kNumShards == kMemoBudget);
+  static_assert(CacheShard::kBudget <= CacheShard::kIndexMask);
   // The cost memo of one stats epoch.
   struct CostMemo {
     std::array<CacheShard, kNumShards> shards;

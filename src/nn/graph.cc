@@ -10,7 +10,10 @@ namespace trap::nn {
 // sequence, which makes results bit-identical run to run. Shapes are checked
 // once at op entry; the loops index rows through Matrix::row() within those
 // shapes. A backward function adds into GradSink(input) for each input that
-// has a parameter upstream.
+// has a parameter upstream. An op first appends its node, then fills the
+// node's value in the tape's arena: Recycle where the value starts as
+// zeros, as Matrix(rows, cols) does, RecycleCopy where it starts as a copy
+// of an input.
 
 namespace {
 
@@ -29,23 +32,82 @@ void AxpyColumn(double* __restrict out, const double* __restrict in,
 
 }  // namespace
 
-Graph::VarId Graph::AddNode(Matrix value, VarId a, VarId b,
-                            BackwardFn backward) {
+void Graph::Arena::Rewind() {
+  block_ = 0;
+  used_ = 0;
+}
+
+void* Graph::Arena::do_allocate(size_t bytes, size_t alignment) {
+  // Node matrices hold doubles only, so every range is double-aligned.
+  TRAP_CHECK(alignment <= alignof(double));
+  constexpr size_t kBlockDoubles = size_t{1} << 15;  // 256 KiB
+  const size_t n = (bytes + sizeof(double) - 1) / sizeof(double);
+  while (block_ < blocks_.size() && blocks_[block_].size() - used_ < n) {
+    ++block_;
+    used_ = 0;
+  }
+  if (block_ == blocks_.size()) {
+    blocks_.emplace_back(std::max(n, kBlockDoubles));
+  }
+  double* p = blocks_[block_].data() + used_;
+  used_ += n;
+  return p;
+}
+
+Graph::Graph() {
+  // The thread's tapes, each grown to the high-water mark of the graphs
+  // built on it. Only their growth allocates.
+  thread_local Tape tapes[kTapeDepth];
+  tape_ = &own_;
+  for (Tape& t : tapes) {
+    if (!t.in_use) {
+      tape_ = &t;
+      break;
+    }
+  }
+  tape_->in_use = true;
+  tape_->arena.Rewind();
+  tape_->ids.clear();
+}
+
+Graph::~Graph() { tape_->in_use = false; }
+
+Graph::VarId Graph::AddNode(VarId a, VarId b, BackwardFn backward) {
   VarId id = num_nodes();
   if (a >= 0) Use(a, id);
   if (b >= 0) Use(b, id);
-  if (static_cast<size_t>(id) == chunks_.size() * kChunk) {
-    chunks_.emplace_back().reserve(kChunk);
+  if (static_cast<size_t>(id) == tape_->chunks.size() * kChunk) {
+    std::vector<Node>& chunk = tape_->chunks.emplace_back();
+    chunk.reserve(kChunk);
+    for (size_t i = 0; i < kChunk; ++i) chunk.emplace_back(&tape_->arena);
   }
-  Node& n = chunks_.back().emplace_back();
   ++num_nodes_;
-  n.value = std::move(value);
-  n.a = a;
-  n.b = b;
-  n.backward = backward;
-  n.needs_grad =
+  NodeInfo& info = node(id);
+  info = NodeInfo{};
+  info.a = a;
+  info.b = b;
+  info.backward = backward;
+  info.needs_grad =
       (a >= 0 && node(a).needs_grad) || (b >= 0 && node(b).needs_grad);
   return id;
+}
+
+Matrix& Graph::Recycle(Matrix& m, int rows, int cols) {
+  m = Matrix(&tape_->arena);
+  m.Reset(rows, cols);
+  return m;
+}
+
+Matrix& Graph::RecycleCopy(Matrix& m, const Matrix& src) {
+  m = Matrix(&tape_->arena);
+  m = src;  // copy-assignment keeps m's resource
+  return m;
+}
+
+void Graph::SetIds(Node& n, std::span<const int> ids) {
+  n.i0 = static_cast<int>(tape_->ids.size());
+  n.i1 = static_cast<int>(ids.size());
+  tape_->ids.insert(tape_->ids.end(), ids.begin(), ids.end());
 }
 
 void Graph::Use(VarId input, VarId consumer) {
@@ -60,12 +122,14 @@ const Matrix& Graph::value(VarId id) const {
   return n.borrowed ? n.param->value : n.value;
 }
 
-Graph::VarId Graph::Input(Matrix value) {
-  return AddNode(std::move(value), -1, -1, nullptr);
+Graph::VarId Graph::Input(const Matrix& value) {
+  VarId id = AddNode(-1, -1, nullptr);
+  RecycleCopy(node(id).value, value);
+  return id;
 }
 
 Graph::VarId Graph::Param(Parameter* p) {
-  VarId id = AddNode(Matrix(), -1, -1, [](Graph&, Node& n) {
+  VarId id = AddNode(-1, -1, [](Graph&, Node& n) {
     double* dst = n.param->grad.data();
     for (int i = 0; i < n.grad.size(); ++i) dst[i] += n.grad.data()[i];
   });
@@ -76,24 +140,25 @@ Graph::VarId Graph::Param(Parameter* p) {
   return id;
 }
 
-Graph::VarId Graph::Gather(Parameter* p, std::vector<int> ids) {
+Graph::VarId Graph::Gather(Parameter* p, std::span<const int> ids) {
   const Matrix& table = p->value;
-  Matrix out(static_cast<int>(ids.size()), table.cols());
-  for (int i = 0; i < out.rows(); ++i) {
-    int src = ids[static_cast<size_t>(i)];
-    TRAP_CHECK(src >= 0 && src < table.rows());
-    std::copy_n(table.row(src), table.cols(), out.row(i));
-  }
-  VarId id = AddNode(std::move(out), -1, -1, [](Graph&, Node& n) {
+  VarId id = AddNode(-1, -1, [](Graph& g, Node& n) {
+    std::span<const int> rows = g.ids(n);
     for (int i = 0; i < n.grad.rows(); ++i) {
-      double* drow = n.param->grad.row(n.ids[static_cast<size_t>(i)]);
+      double* drow = n.param->grad.row(rows[static_cast<size_t>(i)]);
       const double* grow = n.grad.row(i);
       for (int c = 0; c < n.grad.cols(); ++c) drow[c] += grow[c];
     }
   });
   Node& n = node(id);
+  Matrix& out = Recycle(n.value, static_cast<int>(ids.size()), table.cols());
+  for (int i = 0; i < out.rows(); ++i) {
+    int src = ids[static_cast<size_t>(i)];
+    TRAP_CHECK(src >= 0 && src < table.rows());
+    std::copy_n(table.row(src), table.cols(), out.row(i));
+  }
   n.param = p;
-  n.ids = std::move(ids);
+  SetIds(n, ids);
   n.needs_grad = true;
   return id;
 }
@@ -102,15 +167,7 @@ Graph::VarId Graph::MatMul(VarId a, VarId b) {
   const Matrix& A = value(a);
   const Matrix& B = value(b);
   TRAP_CHECK(A.cols() == B.rows());
-  Matrix out(A.rows(), B.cols());
-  for (int i = 0; i < A.rows(); ++i) {
-    const double* arow = A.row(i);
-    double* orow = out.row(i);
-    for (int k = 0; k < A.cols(); ++k) {
-      if (arow[k] != 0.0) Axpy(orow, B.row(k), arow[k], B.cols());
-    }
-  }
-  return AddNode(std::move(out), a, b, [](Graph& g, Node& n) {
+  VarId id = AddNode(a, b, [](Graph& g, Node& n) {
     const Matrix& lhs = g.value(n.a);
     const Matrix& rhs = g.value(n.b);
     const Matrix& G = n.grad;
@@ -165,15 +222,20 @@ Graph::VarId Graph::MatMul(VarId a, VarId b) {
       }
     }
   });
+  Matrix& out = Recycle(node(id).value, A.rows(), B.cols());
+  for (int i = 0; i < A.rows(); ++i) {
+    const double* arow = A.row(i);
+    double* orow = out.row(i);
+    for (int k = 0; k < A.cols(); ++k) {
+      if (arow[k] != 0.0) Axpy(orow, B.row(k), arow[k], B.cols());
+    }
+  }
+  return id;
 }
 
 Graph::VarId Graph::Transpose(VarId a) {
   const Matrix& A = value(a);
-  Matrix out(A.cols(), A.rows());
-  for (int i = 0; i < A.rows(); ++i) {
-    for (int j = 0; j < A.cols(); ++j) out.row(j)[i] = A.row(i)[j];
-  }
-  return AddNode(std::move(out), a, -1, [](Graph& g, Node& n) {
+  VarId id = AddNode(a, -1, [](Graph& g, Node& n) {
     if (Matrix* da = g.GradSink(n.a, true)) {
       for (int i = 0; i < da->rows(); ++i) {
         double* darow = da->row(i);
@@ -181,6 +243,11 @@ Graph::VarId Graph::Transpose(VarId a) {
       }
     }
   });
+  Matrix& out = Recycle(node(id).value, A.cols(), A.rows());
+  for (int i = 0; i < A.rows(); ++i) {
+    for (int j = 0; j < A.cols(); ++j) out.row(j)[i] = A.row(i)[j];
+  }
+  return id;
 }
 
 Graph::VarId Graph::Add(VarId a, VarId b) {
@@ -189,13 +256,7 @@ Graph::VarId Graph::Add(VarId a, VarId b) {
   bool broadcast = B.rows() == 1 && A.rows() != 1;
   TRAP_CHECK(A.cols() == B.cols());
   TRAP_CHECK(broadcast || A.rows() == B.rows());
-  Matrix out = A;
-  for (int i = 0; i < A.rows(); ++i) {
-    double* orow = out.row(i);
-    const double* brow = B.row(broadcast ? 0 : i);
-    for (int j = 0; j < A.cols(); ++j) orow[j] += brow[j];
-  }
-  VarId id = AddNode(std::move(out), a, b, [](Graph& g, Node& n) {
+  VarId id = AddNode(a, b, [](Graph& g, Node& n) {
     const Matrix& G = n.grad;
     const bool bcast = n.i0 != 0;
     if (Matrix* da = g.GradSink(n.a, true)) {
@@ -208,7 +269,14 @@ Graph::VarId Graph::Add(VarId a, VarId b) {
       }
     }
   });
-  node(id).i0 = broadcast ? 1 : 0;
+  Node& n = node(id);
+  Matrix& out = RecycleCopy(n.value, A);
+  for (int i = 0; i < A.rows(); ++i) {
+    double* orow = out.row(i);
+    const double* brow = B.row(broadcast ? 0 : i);
+    for (int j = 0; j < A.cols(); ++j) orow[j] += brow[j];
+  }
+  n.i0 = broadcast ? 1 : 0;
   return id;
 }
 
@@ -220,9 +288,7 @@ Graph::VarId Graph::Mul(VarId a, VarId b) {
   const Matrix& A = value(a);
   const Matrix& B = value(b);
   TRAP_CHECK(A.rows() == B.rows() && A.cols() == B.cols());
-  Matrix out = A;
-  for (int i = 0; i < out.size(); ++i) out.data()[i] *= B.data()[i];
-  return AddNode(std::move(out), a, b, [](Graph& g, Node& n) {
+  VarId id = AddNode(a, b, [](Graph& g, Node& n) {
     const double* gd = n.grad.data();
     if (Matrix* da = g.GradSink(n.a, true)) {
       const double* bv = g.value(n.b).data();
@@ -233,26 +299,28 @@ Graph::VarId Graph::Mul(VarId a, VarId b) {
       for (int i = 0; i < db->size(); ++i) db->data()[i] += gd[i] * av[i];
     }
   });
+  Matrix& out = RecycleCopy(node(id).value, A);
+  for (int i = 0; i < out.size(); ++i) out.data()[i] *= B.data()[i];
+  return id;
 }
 
 Graph::VarId Graph::Scale(VarId a, double s) {
-  Matrix out = value(a);
-  for (int i = 0; i < out.size(); ++i) out.data()[i] *= s;
-  VarId id = AddNode(std::move(out), a, -1, [](Graph& g, Node& n) {
+  VarId id = AddNode(a, -1, [](Graph& g, Node& n) {
     if (Matrix* da = g.GradSink(n.a, true)) {
       for (int i = 0; i < da->size(); ++i) {
         da->data()[i] += n.grad.data()[i] * n.scalar;
       }
     }
   });
-  node(id).scalar = s;
+  Node& n = node(id);
+  Matrix& out = RecycleCopy(n.value, value(a));
+  for (int i = 0; i < out.size(); ++i) out.data()[i] *= s;
+  n.scalar = s;
   return id;
 }
 
 Graph::VarId Graph::Tanh(VarId a) {
-  Matrix out = value(a);
-  for (int i = 0; i < out.size(); ++i) out.data()[i] = std::tanh(out.data()[i]);
-  return AddNode(std::move(out), a, -1, [](Graph& g, Node& n) {
+  VarId id = AddNode(a, -1, [](Graph& g, Node& n) {
     if (Matrix* da = g.GradSink(n.a, true)) {
       for (int i = 0; i < da->size(); ++i) {
         double y = n.value.data()[i];
@@ -260,14 +328,13 @@ Graph::VarId Graph::Tanh(VarId a) {
       }
     }
   });
+  Matrix& out = RecycleCopy(node(id).value, value(a));
+  for (int i = 0; i < out.size(); ++i) out.data()[i] = std::tanh(out.data()[i]);
+  return id;
 }
 
 Graph::VarId Graph::Sigmoid(VarId a) {
-  Matrix out = value(a);
-  for (int i = 0; i < out.size(); ++i) {
-    out.data()[i] = 1.0 / (1.0 + std::exp(-out.data()[i]));
-  }
-  return AddNode(std::move(out), a, -1, [](Graph& g, Node& n) {
+  VarId id = AddNode(a, -1, [](Graph& g, Node& n) {
     if (Matrix* da = g.GradSink(n.a, true)) {
       for (int i = 0; i < da->size(); ++i) {
         double y = n.value.data()[i];
@@ -275,34 +342,28 @@ Graph::VarId Graph::Sigmoid(VarId a) {
       }
     }
   });
+  Matrix& out = RecycleCopy(node(id).value, value(a));
+  for (int i = 0; i < out.size(); ++i) {
+    out.data()[i] = 1.0 / (1.0 + std::exp(-out.data()[i]));
+  }
+  return id;
 }
 
 Graph::VarId Graph::Relu(VarId a) {
-  Matrix out = value(a);
-  for (int i = 0; i < out.size(); ++i) out.data()[i] = std::max(0.0, out.data()[i]);
-  return AddNode(std::move(out), a, -1, [](Graph& g, Node& n) {
+  VarId id = AddNode(a, -1, [](Graph& g, Node& n) {
     if (Matrix* da = g.GradSink(n.a, true)) {
       for (int i = 0; i < da->size(); ++i) {
         if (n.value.data()[i] > 0.0) da->data()[i] += n.grad.data()[i];
       }
     }
   });
+  Matrix& out = RecycleCopy(node(id).value, value(a));
+  for (int i = 0; i < out.size(); ++i) out.data()[i] = std::max(0.0, out.data()[i]);
+  return id;
 }
 
 Graph::VarId Graph::Softmax(VarId a) {
-  Matrix out = value(a);
-  for (int i = 0; i < out.rows(); ++i) {
-    double* row = out.row(i);
-    double mx = row[0];
-    for (int j = 1; j < out.cols(); ++j) mx = std::max(mx, row[j]);
-    double sum = 0.0;
-    for (int j = 0; j < out.cols(); ++j) {
-      row[j] = std::exp(row[j] - mx);
-      sum += row[j];
-    }
-    for (int j = 0; j < out.cols(); ++j) row[j] /= sum;
-  }
-  return AddNode(std::move(out), a, -1, [](Graph& g, Node& n) {
+  VarId id = AddNode(a, -1, [](Graph& g, Node& n) {
     if (Matrix* da = g.GradSink(n.a, true)) {
       for (int i = 0; i < da->rows(); ++i) {
         const double* grow = n.grad.row(i);
@@ -315,20 +376,23 @@ Graph::VarId Graph::Softmax(VarId a) {
       }
     }
   });
-}
-
-Graph::VarId Graph::LogSoftmax(VarId a) {
-  Matrix out = value(a);
+  Matrix& out = RecycleCopy(node(id).value, value(a));
   for (int i = 0; i < out.rows(); ++i) {
     double* row = out.row(i);
     double mx = row[0];
     for (int j = 1; j < out.cols(); ++j) mx = std::max(mx, row[j]);
     double sum = 0.0;
-    for (int j = 0; j < out.cols(); ++j) sum += std::exp(row[j] - mx);
-    double lse = mx + std::log(sum);
-    for (int j = 0; j < out.cols(); ++j) row[j] -= lse;
+    for (int j = 0; j < out.cols(); ++j) {
+      row[j] = std::exp(row[j] - mx);
+      sum += row[j];
+    }
+    for (int j = 0; j < out.cols(); ++j) row[j] /= sum;
   }
-  return AddNode(std::move(out), a, -1, [](Graph& g, Node& n) {
+  return id;
+}
+
+Graph::VarId Graph::LogSoftmax(VarId a) {
+  VarId id = AddNode(a, -1, [](Graph& g, Node& n) {
     if (Matrix* da = g.GradSink(n.a, true)) {
       for (int i = 0; i < da->rows(); ++i) {
         const double* grow = n.grad.row(i);
@@ -341,19 +405,24 @@ Graph::VarId Graph::LogSoftmax(VarId a) {
       }
     }
   });
+  Matrix& out = RecycleCopy(node(id).value, value(a));
+  for (int i = 0; i < out.rows(); ++i) {
+    double* row = out.row(i);
+    double mx = row[0];
+    for (int j = 1; j < out.cols(); ++j) mx = std::max(mx, row[j]);
+    double sum = 0.0;
+    for (int j = 0; j < out.cols(); ++j) sum += std::exp(row[j] - mx);
+    double lse = mx + std::log(sum);
+    for (int j = 0; j < out.cols(); ++j) row[j] -= lse;
+  }
+  return id;
 }
 
 Graph::VarId Graph::ConcatCols(VarId a, VarId b) {
   const Matrix& A = value(a);
   const Matrix& B = value(b);
   TRAP_CHECK(A.rows() == B.rows());
-  Matrix out(A.rows(), A.cols() + B.cols());
-  for (int i = 0; i < A.rows(); ++i) {
-    std::copy_n(A.row(i), A.cols(), out.row(i));
-    std::copy_n(B.row(i), B.cols(), out.row(i) + A.cols());
-  }
-  int ac = A.cols();
-  VarId id = AddNode(std::move(out), a, b, [](Graph& g, Node& n) {
+  VarId id = AddNode(a, b, [](Graph& g, Node& n) {
     // Columns [0, i0) belong to a, the rest to b.
     if (Matrix* da = g.GradSink(n.a, true)) {
       for (int i = 0; i < da->rows(); ++i) {
@@ -368,7 +437,13 @@ Graph::VarId Graph::ConcatCols(VarId a, VarId b) {
       }
     }
   });
-  node(id).i0 = ac;
+  Node& n = node(id);
+  Matrix& out = Recycle(n.value, A.rows(), A.cols() + B.cols());
+  for (int i = 0; i < A.rows(); ++i) {
+    std::copy_n(A.row(i), A.cols(), out.row(i));
+    std::copy_n(B.row(i), B.cols(), out.row(i) + A.cols());
+  }
+  n.i0 = A.cols();
   return id;
 }
 
@@ -380,50 +455,53 @@ Graph::VarId Graph::StackRows(const std::vector<VarId>& parts) {
     TRAP_CHECK(value(p).cols() == value(parts[0]).cols());
     rows += value(p).rows();
   }
-  Matrix out(rows, value(parts[0]).cols());
-  double* dst = out.data();
-  for (VarId p : parts) {
-    dst = std::copy_n(value(p).data(), value(p).size(), dst);
-  }
-  VarId id = AddNode(std::move(out), -1, -1, [](Graph& g, Node& n) {
+  const int cols = value(parts[0]).cols();
+  VarId id = AddNode(-1, -1, [](Graph& g, Node& n) {
     const double* src = n.grad.data();
-    for (VarId p : n.ids) {
+    for (VarId p : g.ids(n)) {
       if (Matrix* dp = g.GradSink(p, true)) {
         for (int i = 0; i < dp->size(); ++i) dp->data()[i] += src[i];
       }
       src += g.value(p).size();
     }
   });
+  Node& n = node(id);
+  double* dst = Recycle(n.value, rows, cols).data();
+  for (VarId p : parts) {
+    dst = std::copy_n(value(p).data(), value(p).size(), dst);
+  }
   for (VarId p : parts) {
     Use(p, id);
-    node(id).needs_grad = node(id).needs_grad || node(p).needs_grad;
+    n.needs_grad = n.needs_grad || node(p).needs_grad;
   }
-  node(id).ids = parts;
+  SetIds(n, parts);
   return id;
 }
 
 Graph::VarId Graph::Pick(VarId a, int r, int c) {
-  Matrix out(1, 1);
-  out.at(0, 0) = value(a).at(r, c);
-  VarId id = AddNode(std::move(out), a, -1, [](Graph& g, Node& n) {
+  const double picked = value(a).at(r, c);
+  VarId id = AddNode(a, -1, [](Graph& g, Node& n) {
     if (Matrix* da = g.GradSink(n.a, true)) {
       da->row(n.i0)[n.i1] += n.grad.data()[0];
     }
   });
-  node(id).i0 = r;
-  node(id).i1 = c;
+  Node& n = node(id);
+  Recycle(n.value, 1, 1).at(0, 0) = picked;
+  n.i0 = r;
+  n.i1 = c;
   return id;
 }
 
 Graph::VarId Graph::Sum(VarId a) {
-  Matrix out(1, 1);
   const Matrix& A = value(a);
-  for (int i = 0; i < A.size(); ++i) out.data()[0] += A.data()[i];
-  return AddNode(std::move(out), a, -1, [](Graph& g, Node& n) {
+  VarId id = AddNode(a, -1, [](Graph& g, Node& n) {
     if (Matrix* da = g.GradSink(n.a, true)) {
       for (int i = 0; i < da->size(); ++i) da->data()[i] += n.grad.data()[0];
     }
   });
+  Matrix& out = Recycle(node(id).value, 1, 1);
+  for (int i = 0; i < A.size(); ++i) out.data()[0] += A.data()[i];
+  return id;
 }
 
 Graph::VarId Graph::Mean(VarId a) {
@@ -439,34 +517,22 @@ Graph::VarId Graph::LayerNorm(VarId a, Parameter* gain, Parameter* bias) {
   constexpr double kEps = 1e-5;
   const int cols = A.cols();
   // normalized = (x - mean) / sqrt(var + eps), out = normalized * g + b.
-  // Row i of `saved` holds the normalized row, then its 1/std.
-  Matrix saved(A.rows(), cols + 1);
-  Matrix out(A.rows(), cols);
-  for (int i = 0; i < A.rows(); ++i) {
-    const double* x = A.row(i);
-    double* norm = saved.row(i);
-    double mean = 0.0;
-    for (int j = 0; j < cols; ++j) mean += x[j];
-    mean /= cols;
-    double var = 0.0;
-    for (int j = 0; j < cols; ++j) var += (x[j] - mean) * (x[j] - mean);
-    var /= cols;
-    norm[cols] = 1.0 / std::sqrt(var + kEps);
-    for (int j = 0; j < cols; ++j) {
-      norm[j] = (x[j] - mean) * norm[cols];
-      out.row(i)[j] = norm[j] * gain->value.row(0)[j] + bias->value.row(0)[j];
-    }
-  }
-  VarId id = AddNode(std::move(out), a, -1, [](Graph& g, Node& n) {
+  // Row i of a constant leaf's value holds the normalized row, then its
+  // 1/std, for the backward pass.
+  const VarId saved_id = AddNode(-1, -1, nullptr);
+  Matrix& saved = Recycle(node(saved_id).value, A.rows(), cols + 1);
+  VarId id = AddNode(a, -1, [](Graph& g, Node& n) {
     Matrix* da = g.GradSink(n.a, true);
     const int width = n.grad.cols();
     const double* gv = n.param->value.row(0);
     double* dgain = n.param->grad.row(0);
     double* dbias = n.param2->grad.row(0);
-    std::vector<double> dnorm(static_cast<size_t>(width));
+    const Matrix& normalized = g.node(n.i0).value;
+    std::vector<double>& dnorm = g.tape_->row;
+    dnorm.resize(static_cast<size_t>(width));
     for (int i = 0; i < n.grad.rows(); ++i) {
       const double* grow = n.grad.row(i);
-      const double* nrow = n.saved.row(i);
+      const double* nrow = normalized.row(i);
       // d norm and parameter grads.
       double sum_dnorm = 0.0, sum_dnorm_norm = 0.0;
       for (int j = 0; j < width; ++j) {
@@ -486,9 +552,25 @@ Graph::VarId Graph::LayerNorm(VarId a, Parameter* gain, Parameter* bias) {
     }
   });
   Node& n = node(id);
+  Matrix& out = Recycle(n.value, A.rows(), cols);
+  for (int i = 0; i < A.rows(); ++i) {
+    const double* x = A.row(i);
+    double* norm = saved.row(i);
+    double mean = 0.0;
+    for (int j = 0; j < cols; ++j) mean += x[j];
+    mean /= cols;
+    double var = 0.0;
+    for (int j = 0; j < cols; ++j) var += (x[j] - mean) * (x[j] - mean);
+    var /= cols;
+    norm[cols] = 1.0 / std::sqrt(var + kEps);
+    for (int j = 0; j < cols; ++j) {
+      norm[j] = (x[j] - mean) * norm[cols];
+      out.row(i)[j] = norm[j] * gain->value.row(0)[j] + bias->value.row(0)[j];
+    }
+  }
   n.param = gain;
   n.param2 = bias;
-  n.saved = std::move(saved);
+  n.i0 = saved_id;
   n.needs_grad = true;
   return id;
 }
@@ -509,7 +591,7 @@ Matrix* Graph::GradSink(VarId id, bool single_term) {
     if (!interleaved) return &n.param->grad;
   }
   const Matrix& v = value(id);
-  n.grad = Matrix(v.rows(), v.cols());
+  Recycle(n.grad, v.rows(), v.cols());
   n.has_grad = true;
   return &n.grad;
 }

@@ -1,6 +1,8 @@
 #ifndef TRAP_NN_GRAPH_H_
 #define TRAP_NN_GRAPH_H_
 
+#include <memory_resource>
+#include <span>
 #include <vector>
 
 #include "nn/matrix.h"
@@ -29,25 +31,33 @@ struct Parameter {
 //
 // Memory model: a Param node borrows Parameter::value in place (the
 // parameter must not change while the graph is alive), and no node owns a
-// gradient until Backward, which allocates one only for nodes on a path
-// from a parameter to the loss. A forward-only graph therefore allocates
-// nothing but op outputs. DESIGN.md §3k lists the accumulation orders every
-// kernel keeps, which make results bit-identical run to run.
+// gradient until Backward, which gives one only to nodes on a path from a
+// parameter to the loss. The tape itself is recycled: a Graph leases one of
+// its thread's tapes for its lifetime, and every op fills a node slot, an
+// arena range and an id list that an earlier graph left behind, so a graph
+// no larger than one built before on the same tape allocates nothing
+// (DESIGN.md §3k). A graph built while others are alive on its thread (the
+// self-critic decode inside an RL step) leases the next free tape; past
+// kTapeDepth nested graphs a graph gets a private tape, freed with it. A
+// Graph must be destroyed on the thread that built it. DESIGN.md §3k also
+// lists the accumulation orders every kernel keeps, which make results
+// bit-identical run to run.
 class Graph {
  public:
   using VarId = int;
 
-  Graph() = default;
+  Graph();
+  ~Graph();
   Graph(const Graph&) = delete;
   Graph& operator=(const Graph&) = delete;
 
-  // Leaf holding a constant (no gradient).
-  VarId Input(Matrix value);
+  // Leaf holding a copy of a constant (no gradient).
+  VarId Input(const Matrix& value);
   // Leaf bound to a trainable parameter (gradient accumulated on Backward).
   VarId Param(Parameter* p);
   // Row-gather from a parameter matrix: out[i, :] = p->value[ids[i], :].
   // Gradients scatter back into the gathered rows only (sparse update).
-  VarId Gather(Parameter* p, std::vector<int> ids);
+  VarId Gather(Parameter* p, std::span<const int> ids);
 
   VarId MatMul(VarId a, VarId b);
   VarId Transpose(VarId a);
@@ -88,41 +98,97 @@ class Graph {
 
   int num_nodes() const { return num_nodes_; }
 
+  // Tapes each thread keeps for reuse: graphs nested deeper than this on one
+  // thread build on a private tape.
+  static constexpr int kTapeDepth = 4;
+
  private:
   struct Node;
   // Adds the node's gradient contributions to its inputs' gradient sinks.
   using BackwardFn = void (*)(Graph& g, Node& n);
 
-  struct Node {
-    Matrix value;             // empty for Param leaves (read through `param`)
-    Matrix grad;              // allocated by Backward
+  // What one use of a node slot records; AddNode resets all of it.
+  struct NodeInfo {
     BackwardFn backward = nullptr;  // nullptr for constant leaves
-    VarId a = -1;             // first input
-    VarId b = -1;             // second input
-    int uses = 0;             // input slots of later nodes that read this one
-    VarId consumer = -1;      // the last node reading this one
+    Parameter* param = nullptr;     // Param, Gather; LayerNorm gain
+    Parameter* param2 = nullptr;    // LayerNorm bias
+    double scalar = 0.0;            // Scale factor
+    VarId a = -1;          // first input
+    VarId b = -1;          // second input
+    int uses = 0;          // input slots of later nodes that read this one
+    VarId consumer = -1;   // the last node reading this one
+    // Pick row; ConcatCols a's width; Add broadcast; LayerNorm's node of
+    // normalized rows; Gather rows and StackRows parts: their first entry in
+    // the tape's id list.
+    int i0 = 0;
+    int i1 = 0;  // Pick column; Gather and StackRows id count
     bool borrowed = false;    // Param leaf: value is param->value
     bool needs_grad = false;  // some parameter lies upstream
     bool has_grad = false;    // Backward gave this node a gradient
-    Parameter* param = nullptr;   // Param, Gather; LayerNorm gain
-    Parameter* param2 = nullptr;  // LayerNorm bias
-    std::vector<int> ids;  // Gather rows; StackRows parts
-    double scalar = 0.0;   // Scale factor
-    int i0 = 0;            // Pick row; ConcatCols a's width; Add broadcast
-    int i1 = 0;            // Pick column
-    Matrix saved;          // LayerNorm: normalized rows, each then its 1/std
   };
 
-  VarId AddNode(Matrix value, VarId a, VarId b, BackwardFn backward);
+  // A node slot. Its matrices draw their storage from the tape's arena.
+  struct Node : NodeInfo {
+    explicit Node(std::pmr::memory_resource* arena)
+        : value(arena), grad(arena) {}
+    Matrix value;  // unused by Param leaves (read through `param`)
+    Matrix grad;   // valid while has_grad
+  };
+
+  // Bump allocator for node matrices. A graph's matrices take consecutive
+  // ranges of its blocks and are never freed one by one; leasing the tape
+  // to the next graph rewinds it, and the blocks are kept.
+  class Arena final : public std::pmr::memory_resource {
+   public:
+    void Rewind();
+
+   private:
+    void* do_allocate(size_t bytes, size_t alignment) override;
+    void do_deallocate(void*, size_t, size_t) override {}
+    bool do_is_equal(
+        const std::pmr::memory_resource& other) const noexcept override {
+      return this == &other;
+    }
+
+    std::vector<std::vector<double>> blocks_;
+    size_t block_ = 0;  // the block allocations come from
+    size_t used_ = 0;   // doubles of it handed out
+  };
+
+  // Recycled storage for one graph at a time. Everything grows to the
+  // high-water mark of the graphs built on it and is never shrunk.
+  struct Tape {
+    Arena arena;  // first member: outlives the node matrices drawing on it
+    // Node slots in chunks of kChunk: growth adds a chunk and never moves a
+    // node.
+    std::vector<std::vector<Node>> chunks;
+    std::vector<int> ids;     // id lists of Gather and StackRows nodes
+    std::vector<double> row;  // LayerNorm backward's per-row scratch
+    bool in_use = false;
+  };
+
+  VarId AddNode(VarId a, VarId b, BackwardFn backward);
   void Use(VarId input, VarId consumer);
   Node& node(VarId id) {
-    return chunks_[static_cast<size_t>(id) / kChunk]
-                  [static_cast<size_t>(id) % kChunk];
+    return tape_->chunks[static_cast<size_t>(id) / kChunk]
+                        [static_cast<size_t>(id) % kChunk];
   }
   const Node& node(VarId id) const {
-    return chunks_[static_cast<size_t>(id) / kChunk]
-                  [static_cast<size_t>(id) % kChunk];
+    return tape_->chunks[static_cast<size_t>(id) / kChunk]
+                        [static_cast<size_t>(id) % kChunk];
   }
+  std::span<const int> ids(const Node& n) const {
+    return {tape_->ids.data() + n.i0, static_cast<size_t>(n.i1)};
+  }
+  // Stores `ids` in the tape's id list as node `n`'s.
+  void SetIds(Node& n, std::span<const int> ids);
+
+  // Gives node matrix `m` new storage from the arena, dropping what an
+  // earlier graph left in it, and fills it with rows x cols zeros
+  // (Matrix::Reset) ...
+  Matrix& Recycle(Matrix& m, int rows, int cols);
+  // ... or with a copy of `src`.
+  Matrix& RecycleCopy(Matrix& m, const Matrix& src);
 
   // The matrix the gradient contributions to `id` go into, or nullptr when
   // no parameter lies upstream of `id`. `single_term` says the caller adds
@@ -130,10 +196,9 @@ class Graph {
   // then takes the term straight into Parameter::grad.
   Matrix* GradSink(VarId id, bool single_term);
 
-  // The tape, in chunks of kChunk nodes: growth allocates a new chunk and
-  // never moves a node.
   static constexpr size_t kChunk = 256;
-  std::vector<std::vector<Node>> chunks_;
+  Tape* tape_;  // leased from the thread's tapes, or &own_
+  Tape own_;    // the private tape of a graph nested past kTapeDepth
   int num_nodes_ = 0;
 };
 

@@ -57,7 +57,7 @@ Embedding::Embedding(ParameterStore* store, int vocab, int dim,
                      common::Rng& rng)
     : table_(store->Create(vocab, dim, rng)), dim_(dim) {}
 
-Graph::VarId Embedding::Forward(Graph& g, const std::vector<int>& ids) const {
+Graph::VarId Embedding::Forward(Graph& g, std::span<const int> ids) const {
   return g.Gather(table_, ids);
 }
 

@@ -2,6 +2,7 @@
 #define TRAP_NN_LAYERS_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,7 +52,7 @@ class Embedding {
   Embedding(ParameterStore* store, int vocab, int dim, common::Rng& rng);
 
   // Returns an (ids.size() x dim) matrix of embeddings.
-  Graph::VarId Forward(Graph& g, const std::vector<int>& ids) const;
+  Graph::VarId Forward(Graph& g, std::span<const int> ids) const;
 
   int dim() const { return dim_; }
   Parameter* table() const { return table_; }

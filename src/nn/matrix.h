@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory_resource>
 #include <vector>
 
 #include "common/check.h"
@@ -12,18 +13,31 @@ namespace trap::nn {
 
 // Dense row-major matrix of doubles. The nn library is deliberately small:
 // the paper's models are tiny (embedding size 128, ~2.8M parameters). A
-// Matrix owns its storage; nn::Graph borrows parameter matrices in place and
-// allocates gradient matrices only when Backward needs them (see graph.h),
-// so a forward pass copies no weights and an inference pass allocates no
-// gradients. Kernels walk rows through row(); at() is the bounds-checked
-// element accessor for everything else.
+// Matrix owns its storage, drawn from the default memory resource unless it
+// is constructed with another: nn::Graph's node matrices draw theirs from
+// the graph's recycled tape arena (see graph.h), so a warm forward or
+// backward pass allocates nothing. A copy of any matrix draws from the
+// default resource. Kernels walk rows through row(); at() is the
+// bounds-checked element accessor for everything else.
 class Matrix {
  public:
   Matrix() = default;
+  // An empty matrix whose storage will come from `resource`.
+  explicit Matrix(std::pmr::memory_resource* resource) : data_(resource) {}
   Matrix(int rows, int cols)
       : rows_(rows), cols_(cols),
         data_(static_cast<size_t>(rows) * static_cast<size_t>(cols), 0.0) {
     TRAP_CHECK(rows >= 0 && cols >= 0);
+  }
+
+  // Reshapes to rows x cols of zeros, the value Matrix(rows, cols) starts
+  // with, in the storage already held: it allocates, from the matrix's own
+  // resource, only when the capacity is too small.
+  void Reset(int rows, int cols) {
+    TRAP_CHECK(rows >= 0 && cols >= 0);
+    rows_ = rows;
+    cols_ = cols;
+    data_.assign(static_cast<size_t>(rows) * static_cast<size_t>(cols), 0.0);
   }
 
   int rows() const { return rows_; }
@@ -69,7 +83,7 @@ class Matrix {
  private:
   int rows_ = 0;
   int cols_ = 0;
-  std::vector<double> data_;
+  std::pmr::vector<double> data_;
 };
 
 }  // namespace trap::nn

@@ -77,13 +77,15 @@ struct TrapAgent::Impl {
     std::vector<nn::Graph::VarId> bwd(static_cast<size_t>(n));
     nn::Graph::VarId hf = g.Input(nn::Matrix(1, h2));
     for (int i = 0; i < n; ++i) {
-      nn::Graph::VarId xi = embed.Forward(g, {ids[static_cast<size_t>(i)]});
+      nn::Graph::VarId xi =
+          embed.Forward(g, {&ids[static_cast<size_t>(i)], 1});
       hf = enc_fwd.Step(g, xi, hf);
       fwd[static_cast<size_t>(i)] = hf;
     }
     nn::Graph::VarId hb = g.Input(nn::Matrix(1, h2));
     for (int i = n - 1; i >= 0; --i) {
-      nn::Graph::VarId xi = embed.Forward(g, {ids[static_cast<size_t>(i)]});
+      nn::Graph::VarId xi =
+          embed.Forward(g, {&ids[static_cast<size_t>(i)], 1});
       hb = enc_bwd.Step(g, xi, hb);
       bwd[static_cast<size_t>(i)] = hb;
     }
@@ -124,6 +126,7 @@ struct TrapAgent::Impl {
     int prev_id = vocab->TokenToId(
         sql::Token::Special(sql::SpecialToken::kBos));
     size_t forced_pos = 0;
+    std::vector<double> probs;  // sampling weights, reused across steps
 
     while (!tree.Done()) {
       if (!result.truncated && forced == nullptr && cancel != nullptr &&
@@ -140,7 +143,7 @@ struct TrapAgent::Impl {
         prev_id = chosen;
         continue;
       }
-      nn::Graph::VarId x = embed.Forward(g, {prev_id});
+      nn::Graph::VarId x = embed.Forward(g, {&prev_id, 1});
       s = decoder.Step(g, x, s);
       const std::vector<int>& legal = tree.LegalTokens();
       int chosen;
@@ -184,7 +187,7 @@ struct TrapAgent::Impl {
         } else {
           TRAP_CHECK(sample_rng != nullptr);
           const nn::Matrix& lp = g.value(logp_row);
-          std::vector<double> probs(static_cast<size_t>(lp.cols()));
+          probs.resize(static_cast<size_t>(lp.cols()));
           for (int j = 0; j < lp.cols(); ++j) {
             probs[static_cast<size_t>(j)] = std::exp(lp.at(0, j));
           }

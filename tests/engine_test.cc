@@ -538,6 +538,79 @@ TEST_F(EngineTest, ScratchArenaReusedAcrossRepeatedBatches) {
   EXPECT_EQ(arena.slot_keys.capacity(), table_cap);
 }
 
+// A memo past its budget clears full shards and refills them instead of
+// growing, and every cost it then serves -- refilled or recomputed -- is the
+// one a fresh optimizer computes.
+TEST_F(EngineTest, CostMemoStaysWithinItsBudget) {
+  WhatIfOptimizer opt(schema_);
+  MiniWorkload w;
+  for (int i = 0; i < 96; ++i) {
+    Query q = LineitemQuery(CmpOp::kLt);
+    q.filters[0].value = Value::Int(10 + 7 * i);
+    w.queries.push_back({q, 1.0 + i});
+  }
+  // 96 queries x ~7k distinct configurations: ~1.3x the budget in pairs.
+  const char* cols[] = {"l_shipdate", "l_quantity", "l_discount", "l_tax",
+                        "l_extendedprice", "l_partkey", "l_suppkey",
+                        "l_orderkey", "l_linenumber", "l_commitdate",
+                        "l_receiptdate"};
+  std::vector<IndexConfig> configs;
+  for (const char* a : cols) {
+    for (const char* b : cols) {
+      for (const char* c : cols) {
+        for (const char* d : cols) {
+          if (configs.size() == 11264) break;
+          IndexConfig config;
+          config.Add(Index{{Col("lineitem", a), Col("lineitem", b)}});
+          config.Add(Index{{Col("lineitem", c), Col("lineitem", d)}});
+          configs.push_back(config);
+        }
+      }
+    }
+  }
+  size_t peak = 0;
+  for (size_t at = 0; at < configs.size(); at += 1024) {
+    std::vector<IndexConfig> chunk(configs.begin() + static_cast<long>(at),
+                                   configs.begin() + static_cast<long>(at) +
+                                       1024);
+    ASSERT_TRUE(opt.TryWorkloadCosts(w, chunk).ok());
+    peak = std::max(peak, opt.cache_size());
+  }
+  // Every miss inserted an entry, yet the memo never held the budget's
+  // worth more.
+  EXPECT_GT(opt.num_cache_misses(),
+            static_cast<int64_t>(WhatIfOptimizer::kMemoBudget));
+  EXPECT_LE(peak, WhatIfOptimizer::kMemoBudget);
+  std::vector<IndexConfig> sample = {configs.front(), configs[5000],
+                                     configs.back()};
+  WhatIfOptimizer fresh(schema_);
+  EXPECT_EQ(opt.WorkloadCosts(w, sample), fresh.WorkloadCosts(w, sample));
+}
+
+// A batch whose token is cancelled before it starts skips every unique
+// pair, and the caller sees the skipped-evaluation status, text included.
+TEST_F(EngineTest, CancelledBatchReportsSkippedPairs) {
+  WhatIfOptimizer opt(schema_);
+  MiniWorkload w;
+  w.queries.push_back({LineitemQuery(CmpOp::kLt), 1.0});
+  w.queries.push_back({LineitemQuery(CmpOp::kGt), 2.0});
+  std::vector<IndexConfig> configs(2);
+  configs[1].Add(Index{{Col("lineitem", "l_shipdate")}});
+  common::CancelToken token;
+  token.Cancel();
+  common::EvalContext ctx;
+  ctx.cancel = &token;
+  common::StatusOr<std::vector<double>> costs =
+      opt.TryWorkloadCosts(w, configs, ctx);
+  ASSERT_FALSE(costs.ok());
+  EXPECT_EQ(costs.status().ToString(),
+            "CANCELLED: skipped: evaluation cancelled");
+  EXPECT_EQ(opt.cache_size(), 0u);
+  // The next batch on this thread's scratch starts from a clean prefill.
+  common::EvalContext live;
+  EXPECT_TRUE(opt.TryWorkloadCosts(w, configs, live).ok());
+}
+
 TEST_F(EngineTest, ShapeCacheCoherentWithFreshComputation) {
   WhatIfOptimizer warm(schema_);
   Query q = LineitemQuery(CmpOp::kLt);

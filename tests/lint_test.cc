@@ -346,6 +346,18 @@ TEST(RuleTest, HeapOnHotPathViolation) {
       LintSnippet("src/engine/scratch.cc",
                   "std::function<void(size_t)> fn = body;\n"),
       "no-heap-on-hot-path"));
+  // The nn tape: per-node allocation and type-erased backward callbacks.
+  EXPECT_TRUE(HasRule(
+      LintSnippet("src/nn/graph.cc", "Node* n = new Node();\n"),
+      "no-heap-on-hot-path"));
+  EXPECT_TRUE(HasRule(
+      LintSnippet("src/nn/graph.h",
+                  "std::function<void(Graph&, Node&)> backward;\n"),
+      "no-heap-on-hot-path"));
+  EXPECT_TRUE(HasRule(
+      LintSnippet("src/nn/graph.cc",
+                  "auto t = std::make_unique<Tape>();\n"),
+      "no-heap-on-hot-path"));
 }
 
 TEST(RuleTest, HeapOnHotPathClean) {
@@ -362,6 +374,16 @@ TEST(RuleTest, HeapOnHotPathClean) {
       "no-heap-on-hot-path"));
   EXPECT_FALSE(HasRule(
       LintSnippet("src/advisor/x.cc", "std::function<void()> fn;\n"),
+      "no-heap-on-hot-path"));
+  // The tape's sanctioned idiom is a function pointer; the rest of nn
+  // (layers, optimizer) may allocate.
+  EXPECT_FALSE(HasRule(
+      LintSnippet("src/nn/graph.h",
+                  "using BackwardFn = void (*)(Graph& g, Node& n);\n"),
+      "no-heap-on-hot-path"));
+  EXPECT_FALSE(HasRule(
+      LintSnippet("src/nn/layers.cc",
+                  "auto p = std::make_unique<Parameter>(rows, cols);\n"),
       "no-heap-on-hot-path"));
   // Only std::function is the type-erasure ban; other namespaces' function
   // identifiers are unrelated.

@@ -3,8 +3,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <memory>
+#include <new>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -15,8 +17,39 @@
 #include "nn/layers.h"
 #include "nn/transformer.h"
 
+// A scoped operator new hook: while an AllocationCounter lives on a thread,
+// every heap allocation that thread makes through operator new is counted.
+namespace {
+thread_local long* allocation_count = nullptr;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (allocation_count != nullptr) ++*allocation_count;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// GCC takes the replaced operator new for the builtin one and calls free()
+// on its memory a mismatch; both replacements use malloc and free.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
+
 namespace trap::nn {
 namespace {
+
+class AllocationCounter {
+ public:
+  AllocationCounter() { allocation_count = &count_; }
+  ~AllocationCounter() { allocation_count = nullptr; }
+  AllocationCounter(const AllocationCounter&) = delete;
+  AllocationCounter& operator=(const AllocationCounter&) = delete;
+  long count() const { return count_; }
+
+ private:
+  long count_ = 0;
+};
 
 // Checks d(loss)/d(param) for every element of `p` against central finite
 // differences of `loss_fn` (which must build a fresh graph and return the
@@ -437,7 +470,7 @@ TEST(GradientTest, ForwardOnlyGraphLeavesGradientsUntouched) {
   for (Parameter* p : store.parameters()) p->grad.Fill(0.25);
   Graph g;
   Graph::VarId h = g.Input(Matrix(1, 4));
-  for (int id : {1, 4, 2}) h = cell.Step(g, embed.Forward(g, {id}), h);
+  for (int id : {1, 4, 2}) h = cell.Step(g, embed.Forward(g, {&id, 1}), h);
   Graph::VarId out = g.LogSoftmax(head.Forward(g, h));
   EXPECT_EQ(g.value(out).cols(), 2);
   Matrix c(1, 1);
@@ -725,6 +758,195 @@ TEST(KernelReferenceTest, AdamMatchesReferenceLoopBitForBit) {
     EXPECT_EQ(std::bit_cast<uint64_t>(got[0]->value.at(1, 2)),
               std::bit_cast<uint64_t>(-0.0));
   }
+}
+
+// --- The recycled tape ----------------------------------------------------
+
+// A small model in the shape of TRAP's agent (paper §IV): a GRU encoder
+// over token embeddings, layer-normalized states, an attention-fed GRU
+// decoder, and a sparse gather of the legal output rows at every step.
+struct TapeModel {
+  TapeModel() {
+    common::Rng rng(61);
+    embed = Embedding(&store, 12, 6, rng);
+    enc = GruCell(&store, 6, 8, rng);
+    dec = GruCell(&store, 6, 8, rng);
+    att_h = Linear(&store, 8, 8, rng);
+    att_s = Linear(&store, 8, 8, rng);
+    att_v = store.Create(8, 1, rng);
+    gain = store.CreateConst(1, 8, 1.0);
+    bias = store.CreateZero(1, 8);
+    out_w = store.Create(12, 22, rng);
+    out_b = store.CreateZero(12, 1);
+    unused = store.Create(3, 4, rng);
+    h0 = Matrix(1, 8);
+    for (int i = 0; i < h0.size(); ++i) h0.data()[i] = rng.Uniform(-0.5, 0.5);
+    states.reserve(16);
+  }
+
+  ParameterStore store;
+  Embedding embed;
+  GruCell enc, dec;
+  Linear att_h, att_s;
+  Parameter* att_v;
+  Parameter* gain;
+  Parameter* bias;
+  Parameter* out_w;
+  Parameter* out_b;
+  Parameter* unused;
+  Matrix h0;
+  std::vector<Graph::VarId> states;  // reused, so a warm decode allocates
+                                     // nothing outside the graph
+};
+
+const std::vector<int> kTapeInput = {3, 7, 1, 9, 4};
+const std::vector<int> kTapeChoices = {2, 5, 5, 11};
+const std::vector<int> kTapeLegal = {2, 5, 8, 11};
+
+// Encodes kTapeInput, then teacher-forces kTapeChoices through the decoder
+// and returns their negative log-likelihood. The loss also adds a constant
+// subgraph, and a dead branch reads a parameter the loss never reaches, so
+// Backward skips nodes of both kinds.
+Graph::VarId TapeDecode(Graph& g, TapeModel& m) {
+  m.states.clear();
+  Graph::VarId h = g.Input(m.h0);
+  for (const int& id : kTapeInput) {
+    h = m.enc.Step(g, m.embed.Forward(g, {&id, 1}), h);
+    m.states.push_back(h);
+  }
+  const Graph::VarId enc = g.LayerNorm(g.StackRows(m.states), m.gain, m.bias);
+  const Graph::VarId keys = m.att_h.Forward(g, enc);
+  Graph::VarId s = h;
+  Graph::VarId nll = g.Sum(g.Input(m.h0));  // constant: no gradient
+  g.Tanh(g.Param(m.unused));                // dead branch
+  int prev = 0;
+  for (const int& choice : kTapeChoices) {
+    const Graph::VarId x = m.embed.Forward(g, {&prev, 1});
+    s = m.dec.Step(g, x, s);
+    const Graph::VarId scores = g.MatMul(
+        g.Relu(g.Tanh(g.Add(keys, m.att_s.Forward(g, s)))), g.Param(m.att_v));
+    const Graph::VarId context =
+        g.MatMul(g.Softmax(g.Transpose(scores)), enc);
+    const Graph::VarId feat = g.ConcatCols(context, g.ConcatCols(s, x));
+    const Graph::VarId logits =
+        g.Add(g.MatMul(feat, g.Transpose(g.Gather(m.out_w, kTapeLegal))),
+              g.Transpose(g.Gather(m.out_b, kTapeLegal)));
+    int idx = 0;
+    while (kTapeLegal[static_cast<size_t>(idx)] != choice) ++idx;
+    nll = g.Sub(nll, g.Pick(g.LogSoftmax(logits), 0, idx));
+    prev = choice;
+  }
+  return g.Mean(nll);
+}
+
+// Every node value and every parameter gradient of a decode and its
+// Backward, as bit patterns. The gradients start from zero.
+std::vector<uint64_t> TapeDecodeBits(TapeModel& m) {
+  m.store.ZeroGrad();
+  std::vector<uint64_t> bits;
+  Graph g;
+  g.Backward(TapeDecode(g, m));
+  for (Graph::VarId id = 0; id < g.num_nodes(); ++id) {
+    const Matrix& v = g.value(id);
+    bits.push_back(static_cast<uint64_t>(v.rows()) << 32 |
+                   static_cast<uint64_t>(v.cols()));
+    for (int i = 0; i < v.size(); ++i) {
+      bits.push_back(std::bit_cast<uint64_t>(v.data()[i]));
+    }
+  }
+  for (Parameter* p : m.store.parameters()) {
+    for (int i = 0; i < p->grad.size(); ++i) {
+      bits.push_back(std::bit_cast<uint64_t>(p->grad.data()[i]));
+    }
+  }
+  return bits;
+}
+
+// Leaves non-zero values and gradients of other shapes all over the
+// calling thread's next tape.
+void DirtyTape(common::Rng& rng) {
+  ParameterStore store;
+  Parameter* w = store.Create(9, 13, rng);
+  Graph g;
+  Graph::VarId acc = g.Input(RandomWithZeros(1, 1, rng));
+  for (int i = 0; i < 300; ++i) {
+    const int rows = 1 + i % 7;
+    const Graph::VarId x = g.Input(RandomWithZeros(rows, 9, rng));
+    acc = g.Add(acc, g.Sum(g.Tanh(g.MatMul(x, g.Param(w)))));
+  }
+  g.Backward(acc);
+}
+
+// Opens kTapeDepth graphs, so that the calling thread's next graph builds
+// on a fresh private tape.
+std::vector<std::unique_ptr<Graph>> OccupyThreadTapes() {
+  std::vector<std::unique_ptr<Graph>> open;
+  for (int i = 0; i < Graph::kTapeDepth; ++i) {
+    open.push_back(std::make_unique<Graph>());
+  }
+  return open;
+}
+
+// A decode built on a recycled tape -- one whose slots and arena an earlier
+// graph left full of other shapes and non-zero data, a nested tape, or a
+// tape whose nested graphs ended out of order -- matches one built on a
+// fresh tape bit for bit, in every value and every parameter gradient.
+TEST(TapeReuseTest, RecycledTapeMatchesFreshTapeBitForBit) {
+  TapeModel m;
+  std::vector<uint64_t> fresh;
+  {
+    std::vector<std::unique_ptr<Graph>> open = OccupyThreadTapes();
+    fresh = TapeDecodeBits(m);
+  }
+  ASSERT_FALSE(fresh.empty());
+
+  common::Rng rng(67);
+  DirtyTape(rng);
+  EXPECT_EQ(TapeDecodeBits(m), fresh) << "recycled tape";
+  EXPECT_EQ(TapeDecodeBits(m), fresh) << "tape recycled from a decode";
+  {
+    // The decode nests inside a live graph, as the self-critic Perturb
+    // nests inside an RL step's graph.
+    Graph outer;
+    outer.Backward(outer.Sum(outer.Tanh(outer.Param(m.unused))));
+    DirtyTape(rng);
+    EXPECT_EQ(TapeDecodeBits(m), fresh) << "nested tape";
+  }
+  {
+    std::vector<std::unique_ptr<Graph>> open = OccupyThreadTapes();
+    for (auto& g : open) g->Input(RandomWithZeros(4, 4, rng));
+    open.erase(open.begin() + 1);  // nested graphs may end in any order
+    DirtyTape(rng);
+    EXPECT_EQ(TapeDecodeBits(m), fresh) << "tape released out of order";
+  }
+}
+
+// Once a tape has held a decode, an identical decode plus Backward -- with
+// a forward-only decode nested on the next tape while it lives -- makes no
+// heap allocation at all.
+TEST(TapeReuseTest, WarmDecodeAndBackwardAllocateNothing) {
+  TapeModel m;
+  auto step = [&m] {
+    Graph g;
+    const Graph::VarId loss = TapeDecode(g, m);
+    {
+      Graph inner;
+      TapeDecode(inner, m);
+    }
+    g.Backward(loss);
+  };
+  {
+    // The hook sees a graph grow a fresh private tape.
+    std::vector<std::unique_ptr<Graph>> open = OccupyThreadTapes();
+    AllocationCounter counter;
+    step();
+    EXPECT_GT(counter.count(), 0);
+  }
+  step();
+  AllocationCounter counter;
+  step();
+  step();
+  EXPECT_EQ(counter.count(), 0);
 }
 
 TEST(TransformerTest, PositionalEncodingBounds) {

@@ -48,9 +48,11 @@ struct Finding {
 //   no-heap-on-hot-path     new / make_unique / make_shared /
 //                           std::function inside the what-if cost kernels
 //                           (src/engine/ cost_model, selectivity, what_if,
-//                           scratch) -- the batched cost path promises
-//                           zero steady-state heap allocations; cold paths
-//                           (plan construction, one-time static init,
+//                           scratch) and the nn autograd tape
+//                           (src/nn/graph) -- the batched cost path and
+//                           the recycled tape promise zero steady-state
+//                           heap allocations; cold paths (plan
+//                           construction, one-time static init,
 //                           once-per-query shape builds) carry audited
 //                           suppression markers.
 //   no-abort-in-library     abort()/exit()/_Exit()/quick_exit() and
