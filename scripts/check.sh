@@ -51,9 +51,10 @@
 #      the nn kernels are vectorised loops over __restrict pointers): the
 #      golden tests that pin the TRAP agent's training numerics bit for bit
 #      (pretrain NLL and RL reward traces, greedy perturbation and trained
-#      parameter fingerprints for TRAP/Seq2Seq/GRU/Transformer) and the
-#      SWIRL/DQN recommendations run at TRAP_THREADS=1/4/8; every run must
-#      pass and print identical agent digest lines.
+#      parameter fingerprints for TRAP/Seq2Seq/GRU/Transformer), the
+#      SWIRL/DQN recommendations and the six heuristic advisors' TPC-DS
+#      recommendations and what-if counts run at TRAP_THREADS=1/4/8; every
+#      run must pass and print identical agent digest lines.
 #   7. A perf-gate stage (plain flavor only; sanitizers skew timings):
 #      bench_engine_micro's shared what-if throughput probe, compared
 #      against bench/baselines/engine_micro_baseline.json by
@@ -261,7 +262,8 @@ serve_digest_stage() {
 }
 
 # Runs the nn golden tests (trap_test's Golden/AgentGoldenTest cases and
-# advisor_test's SWIRL/DQN recommendation pin) across thread counts: each
+# advisor_test's SWIRL/DQN recommendation pin) and the heuristic advisors'
+# golden (advisor_test's HeuristicGoldenTest) across thread counts: each
 # run must pass, and the "agent digest" lines they print must be
 # bit-identical across thread counts.
 agent_digest_stage() {
@@ -275,7 +277,7 @@ agent_digest_stage() {
     if ! out="$(TRAP_THREADS="${t}" "${dir}/tests/trap_test" \
           --gtest_filter='Golden/AgentGoldenTest.*' &&
         TRAP_THREADS="${t}" "${dir}/tests/advisor_test" \
-          --gtest_filter='AdvisorTest.GoldenLearningAdvisorRecommendations')"
+          --gtest_filter='AdvisorTest.GoldenLearningAdvisorRecommendations:HeuristicGoldenTest.*')"
     then
       printf '%s\n' "${out}" >&2
       echo "error: ${dir} agent golden tests failed at TRAP_THREADS=${t}" >&2

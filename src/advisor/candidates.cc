@@ -116,7 +116,7 @@ std::vector<Index> MultiColumnCandidates(const workload::Workload& w,
       // Single-column ORDER BY indexes are already covered by
       // SingleColumnCandidates.
       if (order_cols.size() >= 2) {
-        AddCandidate(out, Index{order_cols});
+        AddCandidate(out, Index{{order_cols.begin(), order_cols.end()}});
       }
       // Join-key-led candidates: join column first, best filter column next
       // (supports index nested-loop joins with extra filtering).

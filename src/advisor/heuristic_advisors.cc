@@ -598,14 +598,18 @@ class RelaxationAdvisor : public IndexAdvisor {
         // Merging with another index on the same table.
         for (const Index& j : config.indexes()) {
           if (i == j || i.table() != j.table()) continue;
+          // Stop merging before the key outgrows max_index_width.
           Index merged = i;
+          bool fits = merged.NumColumns() <= options_.max_index_width;
           for (catalog::ColumnId c : j.columns) {
+            if (!fits) break;
             if (std::find(merged.columns.begin(), merged.columns.end(), c) ==
                 merged.columns.end()) {
-              merged.columns.push_back(c);
+              fits = merged.NumColumns() < options_.max_index_width;
+              if (fits) merged.columns.push_back(c);
             }
           }
-          if (merged.NumColumns() > options_.max_index_width) continue;
+          if (!fits) continue;
           IndexConfig mergedcfg = config;
           mergedcfg.Remove(i);
           mergedcfg.Remove(j);

@@ -75,9 +75,11 @@ StatusOr<sql::Value> DecodeValue(const JsonValue& v) {
   return out;
 }
 
-template <typename T, typename DecodeFn>
-Status DecodeArrayAt(const JsonValue& obj, std::string_view key,
-                     std::vector<T>* out, const DecodeFn& decode) {
+// `Out` is a std::vector<T> or another container with reserve/push_back
+// (an Index's ColumnList).
+template <typename T, typename Out, typename DecodeFn>
+Status DecodeArrayAt(const JsonValue& obj, std::string_view key, Out* out,
+                     const DecodeFn& decode) {
   const JsonValue* arr = obj.Find(key);
   if (arr == nullptr || arr->kind != JsonValue::Kind::kArray) {
     return Status::InvalidArgument(std::string("missing array field: ") +

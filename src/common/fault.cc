@@ -150,13 +150,11 @@ namespace {
 struct RegistryData {
   FaultRegistry::SiteState sites[kNumFaultSites];
   std::atomic<std::uint64_t> seed{0};
-  // Bit i set = site i armed. Bit 63 = initialized-from-env. With nothing
-  // armed the hot path is a single relaxed load of this mask.
-  std::atomic<std::uint64_t> armed_mask{0};
   std::mutex config_mu;
 };
 
-constexpr std::uint64_t kInitBit = std::uint64_t{1} << 63;
+using fault_internal::armed_mask;
+using fault_internal::kInitBit;
 
 RegistryData& Data() {
   static RegistryData data;
@@ -192,14 +190,14 @@ void FaultRegistry::Configure(const FaultSpec& spec) {
       mask |= std::uint64_t{1} << static_cast<int>(cfg.site);
     }
   }
-  d.armed_mask.store(mask, std::memory_order_release);
+  armed_mask.store(mask, std::memory_order_release);
 }
 
 void FaultRegistry::EnsureInitFromEnv() {
   RegistryData& d = Data();
-  if ((d.armed_mask.load(std::memory_order_acquire) & kInitBit) != 0) return;
+  if ((armed_mask.load(std::memory_order_acquire) & kInitBit) != 0) return;
   std::lock_guard<std::mutex> lock(d.config_mu);
-  if ((d.armed_mask.load(std::memory_order_acquire) & kInitBit) != 0) return;
+  if ((armed_mask.load(std::memory_order_acquire) & kInitBit) != 0) return;
   FaultSpec spec;
   // Legacy hook first: TRAP_TESTING_FAULT=invert_index_benefit.
   if (const char* env = std::getenv("TRAP_TESTING_FAULT");
@@ -240,11 +238,11 @@ void FaultRegistry::EnsureInitFromEnv() {
       mask |= std::uint64_t{1} << static_cast<int>(cfg.site);
     }
   }
-  d.armed_mask.store(mask, std::memory_order_release);
+  armed_mask.store(mask, std::memory_order_release);
 }
 
 bool FaultRegistry::armed(FaultSite site) const {
-  std::uint64_t mask = Data().armed_mask.load(std::memory_order_relaxed);
+  std::uint64_t mask = armed_mask.load(std::memory_order_relaxed);
   return (mask & (std::uint64_t{1} << static_cast<int>(site))) != 0;
 }
 
@@ -262,7 +260,7 @@ std::int64_t FaultRegistry::total_hits() const {
 
 bool FaultRegistry::ShouldFire(FaultSite site, std::uint64_t key) {
   RegistryData& d = Data();
-  std::uint64_t mask = d.armed_mask.load(std::memory_order_relaxed);
+  std::uint64_t mask = armed_mask.load(std::memory_order_relaxed);
   if ((mask & (std::uint64_t{1} << static_cast<int>(site))) == 0) return false;
   SiteState& s = *state(site);
   double p = s.probability.load(std::memory_order_relaxed);
@@ -289,7 +287,7 @@ bool FaultRegistry::ShouldFire(FaultSite site, std::uint64_t key) {
   return true;
 }
 
-bool FaultShouldFire(FaultSite site, std::uint64_t key) {
+bool fault_internal::ShouldFireSlow(FaultSite site, std::uint64_t key) {
   FaultRegistry& r = FaultRegistry::Global();
   r.EnsureInitFromEnv();
   return r.ShouldFire(site, key);

@@ -1,6 +1,7 @@
 #ifndef TRAP_COMMON_FAULT_H_
 #define TRAP_COMMON_FAULT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -37,7 +38,8 @@ namespace trap::common {
 // specs without limits are fully deterministic and are what the campaign
 // and the determinism tests use.
 //
-// With no site armed, ShouldFire costs one relaxed atomic load.
+// With no site armed, FaultShouldFire costs one relaxed atomic load,
+// inlined at the call site.
 enum class FaultSite : int {
   // The what-if cost model produces a non-finite cost for the drawn key.
   // Detected by cost validation -> kInternal, never cached, never silent.
@@ -136,9 +138,27 @@ class FaultRegistry {
   SiteState* state(FaultSite site) const;
 };
 
-// Convenience wrapper over Global().ShouldFire with the env-lazy-init
-// behaviour folded in; this is what the injection points call.
-bool FaultShouldFire(FaultSite site, std::uint64_t key);
+namespace fault_internal {
+// Bit i set = site i armed. Bit 63 = configured (from the environment or by
+// Configure). The registry keeps it current.
+inline constexpr std::uint64_t kInitBit = std::uint64_t{1} << 63;
+inline constinit std::atomic<std::uint64_t> armed_mask{0};
+// EnsureInitFromEnv, then Global().ShouldFire.
+bool ShouldFireSlow(FaultSite site, std::uint64_t key);
+}  // namespace fault_internal
+
+// Global().ShouldFire with the env-lazy-init behaviour folded in; this is
+// what the injection points call. Once the registry is configured, an
+// unarmed site answers from the armed mask alone.
+inline bool FaultShouldFire(FaultSite site, std::uint64_t key) {
+  const std::uint64_t mask =
+      fault_internal::armed_mask.load(std::memory_order_relaxed);
+  const std::uint64_t bit = std::uint64_t{1} << static_cast<int>(site);
+  if ((mask & (fault_internal::kInitBit | bit)) == fault_internal::kInitBit) {
+    return false;
+  }
+  return fault_internal::ShouldFireSlow(site, key);
+}
 
 // RAII: configures the global registry from a spec string for a test scope,
 // restoring a clean (all-disarmed) registry on destruction. Aborts on a

@@ -55,10 +55,12 @@ PrefixMatch MatchIndexPrefix(const Index& index,
   return m;
 }
 
-// Columns of table `t` referenced anywhere in `q`.
-std::vector<catalog::ColumnId> ReferencedOnTable(const sql::Query& q, int t) {
+// The columns of table `t` among `referenced` (a query's
+// ReferencedColumns()).
+std::vector<catalog::ColumnId> ReferencedOnTable(
+    const std::vector<catalog::ColumnId>& referenced, int t) {
   std::vector<catalog::ColumnId> out;
-  for (catalog::ColumnId c : q.ReferencedColumns()) {
+  for (catalog::ColumnId c : referenced) {
     if (c.table == t) out.push_back(c);
   }
   return out;
@@ -119,6 +121,7 @@ QueryShape CostModel::ComputeShape(const sql::Query& q) const {
   if (q.tables.size() == 1 && q.group_by.empty()) s.order_cols = q.order_by;
 
   s.tables.reserve(q.tables.size());
+  const std::vector<catalog::ColumnId> referenced = q.ReferencedColumns();
   for (int t : q.tables) {
     const catalog::Table& tab = schema_->table(t);
     TableShape ts;
@@ -143,7 +146,7 @@ QueryShape CostModel::ComputeShape(const sql::Query& q) const {
     // *rise* when an index is added (non-monotone; caught by fuzz oracles).
     ts.sort_penalty = s.order_cols.empty() ? 0.0 : SortCost(ts.out_card);
     ts.btree_descend = BTreeDescendCost(tab.num_rows);
-    ts.referenced = ReferencedOnTable(q, t);
+    ts.referenced = ReferencedOnTable(referenced, t);
     s.tables.push_back(std::move(ts));
   }
 

@@ -7,6 +7,15 @@
 
 namespace trap::engine {
 
+void ColumnList::Grow(size_t n) {
+  // The one heap path: a key wider than kInline columns.
+  ColumnId* grown = new ColumnId[n];  // NOLINT(no-heap-on-hot-path): key wider than kInline spills
+  std::copy(begin(), end(), grown);
+  Release();
+  heap_ = grown;
+  capacity_ = static_cast<uint32_t>(n);
+}
+
 bool Index::HasPrefix(const Index& other) const {
   if (other.columns.size() > columns.size()) return false;
   for (size_t i = 0; i < other.columns.size(); ++i) {

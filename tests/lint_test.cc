@@ -346,6 +346,15 @@ TEST(RuleTest, HeapOnHotPathViolation) {
       LintSnippet("src/engine/scratch.cc",
                   "std::function<void(size_t)> fn = body;\n"),
       "no-heap-on-hot-path"));
+  // Index keys: advisors copy configurations on every candidate move.
+  EXPECT_TRUE(HasRule(
+      LintSnippet("src/engine/index.cc",
+                  "ColumnId* grown = new ColumnId[n];\n"),
+      "no-heap-on-hot-path"));
+  EXPECT_TRUE(HasRule(
+      LintSnippet("src/engine/index.h",
+                  "auto cols = std::make_unique<ColumnId[]>(n);\n"),
+      "no-heap-on-hot-path"));
   // The nn tape: per-node allocation and type-erased backward callbacks.
   EXPECT_TRUE(HasRule(
       LintSnippet("src/nn/graph.cc", "Node* n = new Node();\n"),
@@ -390,6 +399,13 @@ TEST(RuleTest, HeapOnHotPathClean) {
   EXPECT_FALSE(HasRule(
       LintSnippet("src/engine/what_if.cc", "util::function<void()> fn;\n"),
       "no-heap-on-hot-path"));
+  // The key spill is the audited exception in the index module.
+  std::vector<Finding> spill = LintSnippet(
+      "src/engine/index.cc",
+      "ColumnId* grown = new ColumnId[n];  "
+      "// NOLINT(no-heap-on-hot-path): key wider than kInline spills\n");
+  EXPECT_FALSE(HasRule(spill, "no-heap-on-hot-path"));
+  EXPECT_FALSE(HasRule(spill, "nolint-reason"));
   // An audited suppression documents a cold path without tripping the
   // mandatory-reason audit.
   std::vector<Finding> f = LintSnippet(

@@ -297,6 +297,7 @@ void CheckHeapOnHotPath(const SourceFile& f, std::vector<Finding>* out) {
   // markers naming this rule.
   static const char* kHotPrefixes[] = {
       "src/engine/cost_model.",
+      "src/engine/index.",
       "src/engine/selectivity.",
       "src/engine/what_if.",
       "src/engine/scratch.",
